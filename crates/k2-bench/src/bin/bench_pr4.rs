@@ -1,5 +1,5 @@
-//! PR 4 throughput bench: slab event queue vs the old HashSet design,
-//! and serial vs parallel schedule exploration.
+//! Hot-path throughput bench: slab event-queue churn, and serial vs
+//! parallel schedule exploration.
 //!
 //! Emits `BENCH_pr4.json` (hand-rolled JSON, no deps) into the current
 //! directory. The queue microbench runs twice and reports the two-run
@@ -7,24 +7,17 @@
 //! tighter: with `--check <baseline.json>` it compares the measured slab
 //! events/sec against the committed baseline and exits nonzero on a
 //! regression of more than 15% — the CI smoke gate.
-//!
-//! The "before" comparator for the queue microbench is a faithful inline
-//! copy of the pre-slab implementation (twin `HashSet` lazy cancellation,
-//! allocating `pop_with`), so the events/sec improvement is measured, not
-//! estimated, even though the old code no longer exists in the tree.
 
 use k2_check::{Explorer, Scenario};
 use k2_sim::queue::EventQueue;
 use k2_sim::rng::SimRng;
 use k2_sim::time::SimTime;
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::cmp::Ordering as CmpOrdering;
-use std::collections::{BinaryHeap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
-/// Counts every heap allocation so the microbench can report allocations
-/// avoided as a measured number.
+/// Counts every heap allocation so the microbench can report the queue's
+/// allocations as a measured number.
 struct CountingAlloc;
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
@@ -53,131 +46,11 @@ fn allocations() -> u64 {
 }
 
 // ---------------------------------------------------------------------------
-// Reference queue: the pre-slab implementation, reproduced verbatim in
-// shape (heap of owned entries + `live`/`cancelled` HashSets, `pop_with`
-// draining into fresh Vecs every call).
-// ---------------------------------------------------------------------------
-
-struct RefEntry<E> {
-    at: SimTime,
-    seq: u64,
-    payload: E,
-}
-
-impl<E> PartialEq for RefEntry<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl<E> Eq for RefEntry<E> {}
-impl<E> PartialOrd for RefEntry<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<CmpOrdering> {
-        Some(self.cmp(other))
-    }
-}
-impl<E> Ord for RefEntry<E> {
-    fn cmp(&self, other: &Self) -> CmpOrdering {
-        other
-            .at
-            .cmp(&self.at)
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
-}
-
-struct RefQueue<E> {
-    heap: BinaryHeap<RefEntry<E>>,
-    next_seq: u64,
-    live: HashSet<u64>,
-    cancelled: HashSet<u64>,
-}
-
-impl<E> RefQueue<E> {
-    fn new() -> Self {
-        RefQueue {
-            heap: BinaryHeap::new(),
-            next_seq: 0,
-            live: HashSet::new(),
-            cancelled: HashSet::new(),
-        }
-    }
-
-    fn schedule(&mut self, at: SimTime, payload: E) -> u64 {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.live.insert(seq);
-        self.heap.push(RefEntry { at, seq, payload });
-        seq
-    }
-
-    fn cancel(&mut self, key: u64) -> bool {
-        if self.live.remove(&key) {
-            self.cancelled.insert(key);
-            true
-        } else {
-            false
-        }
-    }
-
-    fn skip_cancelled(&mut self) {
-        while let Some(e) = self.heap.peek() {
-            if self.cancelled.remove(&e.seq) {
-                self.heap.pop();
-            } else {
-                break;
-            }
-        }
-    }
-
-    fn peek_time(&mut self) -> Option<SimTime> {
-        self.skip_cancelled();
-        self.heap.peek().map(|e| e.at)
-    }
-
-    fn co_enabled_len(&mut self) -> usize {
-        let Some(front) = self.peek_time() else {
-            return 0;
-        };
-        self.heap
-            .iter()
-            .filter(|e| e.at == front && !self.cancelled.contains(&e.seq))
-            .count()
-    }
-
-    fn pop_with(&mut self, choose: impl FnOnce(SimTime, &[&E]) -> usize) -> Option<(SimTime, E)> {
-        let front = self.peek_time()?;
-        let mut set: Vec<RefEntry<E>> = Vec::new();
-        while let Some(e) = self.heap.peek() {
-            if e.at != front {
-                break;
-            }
-            let e = self.heap.pop().expect("peeked");
-            if !self.cancelled.remove(&e.seq) {
-                set.push(e);
-            }
-        }
-        set.sort_by_key(|e| e.seq);
-        let idx = if set.len() == 1 {
-            0
-        } else {
-            let views: Vec<&E> = set.iter().map(|e| &e.payload).collect();
-            choose(front, &views)
-        };
-        assert!(idx < set.len(), "chooser out of range");
-        let chosen = set.swap_remove(idx);
-        for e in set {
-            self.heap.push(e);
-        }
-        self.live.remove(&chosen.seq);
-        Some((front, chosen.payload))
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Queue microbench
 // ---------------------------------------------------------------------------
 
-/// Rounds of the churn workload. Both queues run the byte-identical
-/// schedule/cancel/pop sequence (same RNG seed and stream).
+/// Rounds of the churn workload (one fixed RNG seed and stream, so every
+/// run fires the identical schedule/cancel/pop sequence).
 const CHURN_ROUNDS: u64 = 60_000;
 
 struct MicroResult {
@@ -210,9 +83,9 @@ fn median2(a: MicroResult, b: MicroResult) -> MicroResult {
 /// burst that deliberately collides on quantised timestamps (creating
 /// real co-enabled sets, as the simulator's IRQ/mail storms do), cancels
 /// a slice of the backlog, then drains a few events through `pop_with`
-/// with a rotating choice. `churn_ref` must mirror this loop exactly.
+/// with a rotating choice.
 fn churn_slab(q: &mut EventQueue<u64>) -> u64 {
-    let mut rng = SimRng::seed_from_stream(0xB0_4, 7);
+    let mut rng = SimRng::seed_from_stream(0xB04, 7);
     let mut fired = 0u64;
     let mut backlog = Vec::with_capacity(64);
     for round in 0..CHURN_ROUNDS {
@@ -235,45 +108,8 @@ fn churn_slab(q: &mut EventQueue<u64>) -> u64 {
             }
         }
     }
-    // Drain the tail so both queues end empty.
+    // Drain the tail so the queue ends empty.
     while q.pop_with(|_, _| 0).is_some() {
-        fired += 1;
-    }
-    fired
-}
-
-/// The identical workload against the reference queue, including the
-/// `co_enabled_len()` scan its real callers performed before every
-/// `pop_with` — part of the cost the slab design removes.
-fn churn_ref(q: &mut RefQueue<u64>) -> u64 {
-    let mut rng = SimRng::seed_from_stream(0xB0_4, 7);
-    let mut fired = 0u64;
-    let mut backlog = Vec::with_capacity(64);
-    for round in 0..CHURN_ROUNDS {
-        let base = round * 16;
-        for burst in 0..4 {
-            let at = SimTime::from_ns(base + rng.gen_range(4) * 4);
-            backlog.push(q.schedule(at, round * 8 + burst));
-        }
-        if backlog.len() > 32 {
-            for _ in 0..8 {
-                let i = rng.gen_range(backlog.len() as u64) as usize;
-                let k = backlog.swap_remove(i);
-                q.cancel(k);
-            }
-        }
-        for _ in 0..3 {
-            let pick = (round % 3) as usize;
-            let _ = q.co_enabled_len();
-            if q.pop_with(|_, set| pick.min(set.len() - 1)).is_some() {
-                fired += 1;
-            }
-        }
-    }
-    while {
-        let _ = q.co_enabled_len();
-        q.pop_with(|_, _| 0).is_some()
-    } {
         fired += 1;
     }
     fired
@@ -284,19 +120,6 @@ fn bench_slab_queue() -> MicroResult {
     let allocs_before = allocations();
     let start = Instant::now();
     let fired = churn_slab(&mut q);
-    let secs = start.elapsed().as_secs_f64();
-    MicroResult {
-        events: fired,
-        secs,
-        allocs: allocations() - allocs_before,
-    }
-}
-
-fn bench_ref_queue() -> MicroResult {
-    let mut q: RefQueue<u64> = RefQueue::new();
-    let allocs_before = allocations();
-    let start = Instant::now();
-    let fired = churn_ref(&mut q);
     let secs = start.elapsed().as_secs_f64();
     MicroResult {
         events: fired,
@@ -371,7 +194,7 @@ fn bench_exploration(scenario: Scenario, workers: usize) -> ExploreResult {
 // JSON
 // ---------------------------------------------------------------------------
 
-fn render_json(slab: &MicroResult, old: &MicroResult, explore: &[ExploreResult]) -> String {
+fn render_json(slab: &MicroResult, explore: &[ExploreResult]) -> String {
     let mut s = String::new();
     s.push_str("{\n");
     s.push_str("  \"bench\": \"pr4\",\n");
@@ -381,20 +204,7 @@ fn render_json(slab: &MicroResult, old: &MicroResult, explore: &[ExploreResult])
         "    \"slab_events_per_sec\": {:.0},\n",
         slab.events_per_sec()
     ));
-    s.push_str(&format!(
-        "    \"hashset_events_per_sec\": {:.0},\n",
-        old.events_per_sec()
-    ));
-    s.push_str(&format!(
-        "    \"speedup\": {:.2},\n",
-        slab.events_per_sec() / old.events_per_sec()
-    ));
-    s.push_str(&format!("    \"slab_allocations\": {},\n", slab.allocs));
-    s.push_str(&format!("    \"hashset_allocations\": {},\n", old.allocs));
-    s.push_str(&format!(
-        "    \"allocations_avoided\": {}\n",
-        old.allocs.saturating_sub(slab.allocs)
-    ));
+    s.push_str(&format!("    \"slab_allocations\": {}\n", slab.allocs));
     s.push_str("  },\n");
     s.push_str("  \"exploration\": {\n");
     s.push_str(&format!("    \"seed\": {EXPLORE_SEED},\n"));
@@ -456,27 +266,16 @@ fn main() {
         .map(|i| args.get(i + 1).expect("--check takes a path").clone());
 
     eprintln!("queue microbench ({CHURN_ROUNDS} churn rounds, two-run median)...");
-    // Interleave a warm-up of each before timing, so neither queue pays
-    // first-touch costs inside its measured window. Then measure each
-    // queue twice, interleaved, and keep the two-run median — this is
-    // what lets the CI gate tighten from 25% to 15%.
+    // Warm up before timing so the queue pays no first-touch costs
+    // inside its measured window. Then measure twice and keep the
+    // two-run median — this is what lets the CI gate tighten from 25% to
+    // 15%.
     let _ = bench_slab_queue();
-    let _ = bench_ref_queue();
     let slab = median2(bench_slab_queue(), bench_slab_queue());
-    let old = median2(bench_ref_queue(), bench_ref_queue());
-    assert_eq!(
-        slab.events, old.events,
-        "both queues must fire the identical churn workload"
-    );
     eprintln!(
-        "  slab:    {:>12.0} events/sec ({} allocations)",
+        "  slab: {:>12.0} events/sec ({} allocations)",
         slab.events_per_sec(),
         slab.allocs
-    );
-    eprintln!(
-        "  hashset: {:>12.0} events/sec ({} allocations)",
-        old.events_per_sec(),
-        old.allocs
     );
 
     let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
@@ -493,7 +292,7 @@ fn main() {
         })
         .collect();
 
-    let json = render_json(&slab, &old, &explore);
+    let json = render_json(&slab, &explore);
     std::fs::write("BENCH_pr4.json", &json).expect("write BENCH_pr4.json");
     eprintln!("wrote BENCH_pr4.json");
 

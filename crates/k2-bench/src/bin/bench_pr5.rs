@@ -10,9 +10,8 @@
 //! 2. **Mail storm** — a whole-machine campaign (cross-domain mailbox
 //!    bursts, the densest span-producing workload) run once with the
 //!    full sink and once disabled, comparing simulator events/sec.
-//! 3. **Report render** — the streaming `write_profile_report` path vs
-//!    the monolithic tree render, on a real post-run system; asserts the
-//!    two produce byte-identical output while measuring time saved.
+//! 3. **Report render** — the streaming `write_profile_report` path on
+//!    a real post-run system: reports/sec and heap allocations.
 //!
 //! Emits `BENCH_pr5.json` (hand-rolled JSON, no deps). With `--check
 //! <baseline.json>` it compares the disabled-sink ops/sec against the
@@ -169,7 +168,7 @@ fn bench_storm(mode: SinkMode) -> StormResult {
 }
 
 // ---------------------------------------------------------------------------
-// Report render: streaming vs monolithic
+// Report render
 // ---------------------------------------------------------------------------
 
 const RENDER_RUNS: u64 = 200;
@@ -180,49 +179,27 @@ struct RenderResult {
     bytes: usize,
 }
 
-fn bench_render() -> (RenderResult, RenderResult) {
+fn bench_render() -> RenderResult {
     let (m, sys) = golden_run(GoldenScenario::UdpLoopback, 7);
-
-    // Warm-up, and pin the byte contract between the two paths on a real
-    // post-run system before timing anything.
-    let tree = sys.profile_report(&m).render_pretty();
-    let streamed = {
+    let render = || {
         let mut out = String::new();
         let mut w = k2_sim::json::JsonWriter::pretty(&mut out);
         sys.write_profile_report(&m, &mut w);
         w.finish();
-        out
+        out.len()
     };
-    assert_eq!(tree, streamed, "streaming render must be byte-identical");
-
+    render(); // warm-up
     let allocs_before = allocations();
     let start = Instant::now();
     let mut bytes = 0usize;
     for _ in 0..RENDER_RUNS {
-        let mut out = String::new();
-        let mut w = k2_sim::json::JsonWriter::pretty(&mut out);
-        sys.write_profile_report(&m, &mut w);
-        w.finish();
-        bytes = out.len();
+        bytes = render();
     }
-    let streaming = RenderResult {
+    RenderResult {
         secs: start.elapsed().as_secs_f64(),
         allocs: allocations() - allocs_before,
         bytes,
-    };
-
-    let allocs_before = allocations();
-    let start = Instant::now();
-    for _ in 0..RENDER_RUNS {
-        let out = sys.profile_report(&m).render_pretty();
-        bytes = out.len();
     }
-    let monolithic = RenderResult {
-        secs: start.elapsed().as_secs_f64(),
-        allocs: allocations() - allocs_before,
-        bytes,
-    };
-    (streaming, monolithic)
 }
 
 // ---------------------------------------------------------------------------
@@ -236,7 +213,6 @@ fn render_json(
     storm_disabled: &StormResult,
     storm_full: &StormResult,
     streaming: &RenderResult,
-    monolithic: &RenderResult,
 ) -> String {
     let mut s = String::new();
     s.push_str("{\n");
@@ -288,20 +264,8 @@ fn render_json(
         RENDER_RUNS as f64 / streaming.secs
     ));
     s.push_str(&format!(
-        "    \"monolithic_reports_per_sec\": {:.1},\n",
-        RENDER_RUNS as f64 / monolithic.secs
-    ));
-    s.push_str(&format!(
-        "    \"streaming_allocations\": {},\n",
+        "    \"streaming_allocations\": {}\n",
         streaming.allocs
-    ));
-    s.push_str(&format!(
-        "    \"monolithic_allocations\": {},\n",
-        monolithic.allocs
-    ));
-    s.push_str(&format!(
-        "    \"speedup\": {:.2}\n",
-        monolithic.secs / streaming.secs
     ));
     s.push_str("  }\n");
     s.push_str("}\n");
@@ -378,16 +342,11 @@ fn main() {
     );
 
     eprintln!("report render ({RENDER_RUNS} runs)...");
-    let (streaming, monolithic) = bench_render();
+    let streaming = bench_render();
     eprintln!(
-        "  streaming:  {:>8.1} reports/sec ({} allocations)",
+        "  streaming: {:>8.1} reports/sec ({} allocations)",
         RENDER_RUNS as f64 / streaming.secs,
         streaming.allocs
-    );
-    eprintln!(
-        "  monolithic: {:>8.1} reports/sec ({} allocations)",
-        RENDER_RUNS as f64 / monolithic.secs,
-        monolithic.allocs
     );
 
     let json = render_json(
@@ -397,7 +356,6 @@ fn main() {
         &storm_disabled,
         &storm_full,
         &streaming,
-        &monolithic,
     );
     std::fs::write("BENCH_pr5.json", &json).expect("write BENCH_pr5.json");
     eprintln!("wrote BENCH_pr5.json");

@@ -95,10 +95,9 @@ fn fan_out<T: Send>(count: u32, workers: usize, job: impl Fn(u32) -> T + Sync) -
 fn run_once(scenario: Scenario, index: u32, snap: Option<&SystemSnapshot>) -> u64 {
     let spec = FaultSpec::none();
     let chooser = chooser_of(Box::new(RandomWalk::new(SEED, u64::from(index))));
-    let outcome = match snap {
-        Some(s) => scenario.run_forked(s, &spec, Some(chooser), RunOptions::lite()),
-        None => scenario.run_with(&spec, Some(chooser), RunOptions::lite()),
-    };
+    let outcome = scenario
+        .compiled()
+        .run(snap, &spec, Some(chooser), RunOptions::lite());
     let mut h = Fnv64::new();
     h.u64(outcome.events)
         .u64(outcome.choice_points)

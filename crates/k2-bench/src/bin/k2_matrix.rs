@@ -112,7 +112,7 @@ fn bless(name: &str) {
             .iter()
             .map(|&seed| {
                 let spec = def.fault_spec(&preset, seed).unwrap_or(FaultSpec::none());
-                let run = compiled.run_with(&spec, None, RunOptions::full());
+                let run = compiled.run(None, &spec, None, RunOptions::full());
                 let values = metrics
                     .iter()
                     .map(|m| {

@@ -104,7 +104,9 @@ fn main() {
         ..FaultSpec::none()
     };
     eprintln!("running {} (seed {seed})...", scenario.name());
-    let outcome = scenario.run_with(&spec, None, RunOptions::traced());
+    let outcome = scenario
+        .compiled()
+        .run(None, &spec, None, RunOptions::traced());
     let trace = outcome.chrome_trace.expect("traced run exports a trace");
     std::fs::write(&path, &trace).expect("write trace file");
     eprintln!(

@@ -142,9 +142,9 @@ fn no_params(e: &EvalSpec) -> Result<(), String> {
 
 /// Canonical size label for metric keys (`4K`, `128K`, `1M`).
 fn size_label(n: u64) -> String {
-    if n >= 1 << 20 && n % (1 << 20) == 0 {
+    if n >= 1 << 20 && n.is_multiple_of(1 << 20) {
         format!("{}M", n >> 20)
-    } else if n >= 1 << 10 && n % (1 << 10) == 0 {
+    } else if n >= 1 << 10 && n.is_multiple_of(1 << 10) {
         format!("{}K", n >> 10)
     } else {
         n.to_string()

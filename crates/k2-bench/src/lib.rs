@@ -2,8 +2,10 @@
 //!
 //! Formatting and driver code behind the benchmark binaries and the
 //! `tables` bench target. Each function regenerates one table or figure of
-//! the paper's evaluation and returns it as printable text; `EXPERIMENTS.md`
-//! records paper-vs-measured for each.
+//! the paper's evaluation and returns it as printable text; the tables
+//! parameterized by a `scenarios/*.k2.md` file render through
+//! [`conformance::eval_builtin`] instead. `EXPERIMENTS.md` records
+//! paper-vs-measured for each.
 
 #![warn(missing_docs)]
 
@@ -13,14 +15,6 @@ use k2::ablation;
 use k2::system::SystemMode;
 use k2_workloads::harness::{self, compare_energy, Workload};
 use std::fmt::Write as _;
-
-/// Figure 1: the architecture trend points and power ranges.
-///
-/// Parameterized by `scenarios/fig1-trend.k2.md` via the conformance
-/// runner; the rendered bytes are unchanged from the historical form.
-pub fn fig1_trend() -> String {
-    conformance::eval_builtin("fig1-trend").text
-}
 
 /// Table 1: core specifications of the platform.
 pub fn table1_cores() -> String {
@@ -106,28 +100,6 @@ pub fn fig6_all() -> String {
     s
 }
 
-/// Table 4: physical-memory allocation latencies.
-///
-/// Parameterized by `scenarios/table4-alloc.k2.md`.
-pub fn table4_alloc() -> String {
-    conformance::eval_builtin("table4-alloc").text
-}
-
-/// Table 5: the DSM fault latency breakdown.
-///
-/// Parameterized by `scenarios/table5-dsm.k2.md`.
-pub fn table5_dsm() -> String {
-    conformance::eval_builtin("table5-dsm").text
-}
-
-/// Table 6: concurrent DMA throughput with the shadowed driver.
-///
-/// Parameterized by `scenarios/table6-shared-driver.k2.md` (the batch
-/// list there mirrors [`table6_batches`]).
-pub fn table6_shared_driver() -> String {
-    conformance::eval_builtin("table6-shared-driver").text
-}
-
 /// §9.3 ablation: the shadowed page allocator.
 pub fn ablation_shadowed_alloc() -> String {
     use k2_soc::core::{CoreDesc, CoreKind};
@@ -198,17 +170,6 @@ pub fn ablation_three_state() -> String {
         "(paper: the ten-entry first-level TLB thrashes, motivating the two-state design)\n",
     );
     s
-}
-
-/// DVFS sweep: Linux's energy efficiency across A9 operating points,
-/// justifying the paper's choice of 350 MHz as the baseline's best case
-/// and showing DVFS cannot reach the weak domain (Figure 1's argument,
-/// measured end to end).
-///
-/// Parameterized by `scenarios/dvfs-sweep.k2.md` (workload, frequency
-/// list, and the K2 comparison point all come from the file).
-pub fn dvfs_sweep() -> String {
-    conformance::eval_builtin("dvfs-sweep").text
 }
 
 /// IO-bound ablation: the ext2 benchmark on flash instead of the paper's
@@ -312,20 +273,6 @@ pub fn ablation_pin_weak() -> String {
     s
 }
 
-/// §9.2: the standby-time estimate.
-///
-/// Parameterized by `scenarios/standby-estimate.k2.md`.
-pub fn standby_estimate() -> String {
-    conformance::eval_builtin("standby-estimate").text
-}
-
-/// Table 2 analogue: the classification and this repo's code inventory.
-///
-/// Parameterized by `scenarios/table2-refactoring.k2.md`.
-pub fn table2_refactoring() -> String {
-    conformance::eval_builtin("table2-refactoring").text
-}
-
 /// The machine-readable profile report bundle (`BENCH_pr2.json`): every
 /// golden scenario run under `seed`, serialized through the observability
 /// layer's deterministic JSON renderer. CI's bench smoke step emits this;
@@ -376,13 +323,13 @@ mod tests {
 
     #[test]
     fn fig1_renders_all_groups() {
-        let f = fig1_trend();
+        let f = conformance::eval_builtin("fig1-trend").text;
         assert!(f.contains("DVFS") && f.contains("big.LITTLE") && f.contains("Multi-domain"));
     }
 
     #[test]
     fn table5_renders_breakdown() {
-        let t = table5_dsm();
+        let t = conformance::eval_builtin("table5-dsm").text;
         assert!(t.contains("Servicing request") && t.contains("Total"));
     }
 
@@ -394,7 +341,7 @@ mod tests {
 
     #[test]
     fn table2_renders_classification() {
-        let t = table2_refactoring();
+        let t = conformance::eval_builtin("table2-refactoring").text;
         assert!(t.contains("shadowed") && t.contains("independent"));
     }
 }

@@ -40,40 +40,6 @@ fn every_eval_scenario_meets_its_expect_table() {
 }
 
 #[test]
-fn eval_text_matches_the_legacy_report_functions() {
-    // The bins replaced hand-rolled report fns; the rendered text is
-    // part of the conformance surface (docs quote it verbatim).
-    assert_eq!(
-        conformance::eval_builtin("fig1-trend").text,
-        k2_bench::fig1_trend()
-    );
-    assert_eq!(
-        conformance::eval_builtin("dvfs-sweep").text,
-        k2_bench::dvfs_sweep()
-    );
-    assert_eq!(
-        conformance::eval_builtin("standby-estimate").text,
-        k2_bench::standby_estimate()
-    );
-    assert_eq!(
-        conformance::eval_builtin("table2-refactoring").text,
-        k2_bench::table2_refactoring()
-    );
-    assert_eq!(
-        conformance::eval_builtin("table4-alloc").text,
-        k2_bench::table4_alloc()
-    );
-    assert_eq!(
-        conformance::eval_builtin("table5-dsm").text,
-        k2_bench::table5_dsm()
-    );
-    assert_eq!(
-        conformance::eval_builtin("table6-shared-driver").text,
-        k2_bench::table6_shared_driver()
-    );
-}
-
-#[test]
 fn grid_scenarios_are_not_evals_and_vice_versa() {
     for name in builtin::GRID {
         assert!(!builtin::load(name).is_eval(), "{name} wrongly marked eval");

@@ -3,11 +3,13 @@
 //! A `scenarios/*.k2.md` file is an ordinary markdown document whose
 //! fenced code blocks tagged `k2` carry a machine-readable scenario
 //! description. Everything outside those fences is prose documentation;
-//! everything inside compiles onto the existing [`Scenario`]-style run
-//! machinery ([`FaultSpec`], [`RunOptions`], the `TestSystem` harness),
-//! so one file is simultaneously the specification of a workload, the
-//! test that pins its behaviour (via `expect` tables), and the document
-//! a reader studies.
+//! everything inside compiles to a [`CompiledScenario`] that runs on the
+//! `TestSystem` harness under a [`FaultSpec`] and [`RunOptions`], so one
+//! file is simultaneously the specification of a workload, the test that
+//! pins its behaviour (via `expect` tables), and the document a reader
+//! studies. The explorer's named [`Scenario`]s are these files.
+//!
+//! [`Scenario`]: crate::scenario::Scenario
 //!
 //! # Grammar
 //!
@@ -44,11 +46,15 @@
 //! emits the canonical block form; parse ∘ render is the identity on the
 //! structural content (prose is documentation, not state).
 
-use crate::scenario::{self, FaultSpec, RunOptions, RunOutcome};
+use crate::oracle::{self, DOMAINS};
+use crate::scenario::{FaultSpec, RunOptions, RunOutcome};
 use k2::system::{K2Machine, K2System, SystemSnapshot};
 use k2_sim::explore::ScheduleChooser;
+use k2_sim::json::JsonWriter;
+use k2_sim::time::SimDuration;
 use k2_soc::ids::{DomainId, IrqId};
 use k2_soc::mailbox::Mail;
+use k2_soc::platform::{Step, Task, TaskCx};
 use k2_workloads::harness::{GridRow, TestSystem, Workload};
 use std::cell::RefCell;
 use std::fmt;
@@ -492,12 +498,8 @@ impl ScenarioDef {
     }
 }
 
-/// A validated, runnable scenario compiled from a [`ScenarioDef`]. Runs
-/// through exactly the same skeleton as the hand-written [`Scenario`]
-/// variants — same boot, same pulse tasks, same drain and oracle capture
-/// — so a faithful migration produces byte-identical profile reports.
-///
-/// [`Scenario`]: crate::scenario::Scenario
+/// A validated, runnable scenario compiled from a [`ScenarioDef`]: the
+/// one engine every single-machine scenario runs through.
 #[derive(Clone, Debug)]
 pub struct CompiledScenario {
     name: String,
@@ -513,34 +515,87 @@ impl CompiledScenario {
         &self.name
     }
 
-    /// Boots a fresh system and runs the scenario under `spec`, the
-    /// given chooser and options — the DSL counterpart of
-    /// [`Scenario::run_with`](crate::scenario::Scenario::run_with).
-    pub fn run_with(
+    /// Runs the scenario under `spec`, the given chooser (None = the
+    /// queue's own tie-break) and options, and snapshots the oracle
+    /// inputs. `snap` is a pre-booted frozen image to fork (see
+    /// [`Scenario::boot_snapshot`](crate::scenario::Scenario::boot_snapshot));
+    /// `None` boots a fresh system. The snapshot is taken post-boot and
+    /// pre-knob, so a forked run is byte-identical to a booted one.
+    ///
+    /// The run installs the fault plan, chooser and auditor, drives the
+    /// workload, drains in-flight deliveries, and renders the profile
+    /// report before any other read so nothing perturbs its bytes.
+    pub fn run(
         &self,
+        snap: Option<&SystemSnapshot>,
         spec: &FaultSpec,
         chooser: Option<ScheduleChooser>,
         opts: RunOptions,
     ) -> RunOutcome {
-        scenario::run_system(None, spec, chooser, opts, |t| self.drive(t))
-    }
+        let mut builder = TestSystem::builder().seed(spec.seed).audit(64);
+        if let Some(plan) = spec.to_plan() {
+            builder = builder.fault_plan(plan);
+        }
+        if let Some(mode) = opts.sink {
+            builder = builder.span_sink(mode);
+        }
+        let mut t = match snap {
+            Some(s) => builder.build_from(s),
+            None => builder.build(),
+        };
+        if opts.chrome_trace {
+            t.m.set_trace_capacity(TRACE_CAPACITY);
+            t.m.set_trace(true);
+        }
+        if let Some(c) = chooser {
+            t.m.set_schedule_chooser(c);
+        }
+        let extra = self.drive(&mut t);
+        t.run_for(DRAIN);
+        t.m.clear_schedule_chooser();
 
-    /// Like [`CompiledScenario::run_with`], but forks the pre-booted
-    /// frozen image `snap` instead of booting (the matrix path: one boot
-    /// per matrix, one fork per cell).
-    pub fn run_forked(
-        &self,
-        snap: &SystemSnapshot,
-        spec: &FaultSpec,
-        chooser: Option<ScheduleChooser>,
-        opts: RunOptions,
-    ) -> RunOutcome {
-        scenario::run_system(Some(snap), spec, chooser, opts, |t| self.drive(t))
+        let report_json = if opts.render_report {
+            let mut out = String::new();
+            let mut w = JsonWriter::compact(&mut out);
+            t.sys.write_profile_report(&t.m, &mut w);
+            w.finish();
+            out
+        } else {
+            String::new()
+        };
+        let chrome_trace = opts.chrome_trace.then(|| {
+            let mut s = String::new();
+            t.m.write_chrome_trace(&mut s);
+            s
+        });
+        let conservation = oracle::check_conservation(&t.m);
+        let audit = audit_verdict(&t.m);
+        let choice_points = t.m.choice_points();
+        let events = t.events_processed();
+        let span_shape = if t.m.spans().is_enabled() {
+            crate::fingerprint::span_shape_hash(t.m.spans())
+        } else {
+            0
+        };
+        let mut end_state = oracle::capture_end_state(&mut t);
+        for (k, v) in extra {
+            end_state.push(k, v);
+        }
+        RunOutcome {
+            end_state,
+            report_json,
+            chrome_trace,
+            events,
+            choice_points,
+            span_shape,
+            conservation,
+            audit,
+        }
     }
 
     /// The compiled driver: grid spawns in table order, then steps in
-    /// file order, then the pulse tasks, then run-to-idle — the exact
-    /// sequence the hand-written scenarios follow.
+    /// file order, then the pulse tasks, then run-to-idle. Returns the
+    /// scenario-specific end-state extras.
     fn drive(&self, t: &mut TestSystem) -> Vec<(String, String)> {
         let grid_handles = t.spawn_grid(&self.rows);
         let mut hook_cells: Vec<(String, Rc<RefCell<u32>>)> = Vec::new();
@@ -569,7 +624,7 @@ impl CompiledScenario {
                 }
             }
         }
-        scenario::spawn_pulses_with(t, self.pulse_cores, self.pulse_rounds);
+        spawn_pulses(t, self.pulse_cores, self.pulse_rounds);
         t.run_until_idle();
         let mut extras: Vec<(String, String)> = grid_handles
             .into_iter()
@@ -583,6 +638,99 @@ impl CompiledScenario {
             extras.push((metric, format!("{last:08x}")));
         }
         extras
+    }
+}
+
+/// How long past task completion a run keeps simulating so in-flight
+/// mailbox deliveries and DMA completions settle before the conservation
+/// oracle reads the totals.
+const DRAIN: SimDuration = SimDuration::from_ms(10);
+
+/// Capacity of the event-trace ring a traced run records into — sized so
+/// a scenario's whole post-settle window survives for export.
+const TRACE_CAPACITY: usize = 1 << 16;
+
+/// The absolute grid every pulse task realigns its wake-ups to.
+const PULSE_PERIOD: u64 = 100_000; // ns
+
+/// A busy/sleep loop that sleeps to the next *absolute* grid boundary
+/// rather than for a fixed duration. Queueing delays on shared cores
+/// therefore never desynchronize the pulses: every live pulse's wake
+/// lands on the same instant each period, keeping their wake (and, on
+/// dedicated cores, step-boundary) events co-enabled round after round.
+///
+/// Every scenario spawns these per its `pulse_cores`/`pulse_rounds` keys.
+/// On the strong domain's two equal-frequency cores their step
+/// boundaries tie at every round, guaranteeing a deep supply of genuine
+/// co-enabled choice points regardless of how the main workload's timing
+/// falls — without them, a scenario could accidentally have a
+/// near-linear schedule space and exploration would be vacuous.
+struct PulseTask {
+    rounds: u32,
+    computing: bool,
+}
+
+impl Task<K2System> for PulseTask {
+    fn step(&mut self, _w: &mut K2System, _m: &mut K2Machine, cx: TaskCx) -> Step {
+        if self.computing {
+            self.computing = false;
+            if self.rounds == 0 {
+                return Step::Done;
+            }
+            self.rounds -= 1;
+            let now = cx.now.as_ns();
+            let next = (now / PULSE_PERIOD + 1) * PULSE_PERIOD;
+            Step::Sleep {
+                dur: SimDuration::from_ns(next - now),
+            }
+        } else {
+            self.computing = true;
+            Step::ComputeTime {
+                dur: SimDuration::from_us(40),
+            }
+        }
+    }
+
+    fn name(&self) -> &str {
+        "pulse"
+    }
+}
+
+/// Spawns `rounds`-round pulse tasks on up to `cores` cores of each
+/// domain.
+fn spawn_pulses(t: &mut TestSystem, cores: u32, rounds: u32) {
+    for dom in DOMAINS {
+        let picked: Vec<_> =
+            t.m.domain_cores(dom)
+                .iter()
+                .copied()
+                .take(cores as usize)
+                .collect();
+        for core in picked {
+            t.m.spawn(
+                core,
+                Box::new(PulseTask {
+                    rounds,
+                    computing: false,
+                }),
+                &mut t.sys,
+            );
+        }
+    }
+}
+
+/// Summarizes the machine's invariant auditor into a pass/fail verdict.
+fn audit_verdict(m: &K2Machine) -> Result<(), String> {
+    let violations = m.auditor().violations();
+    if violations.is_empty() {
+        Ok(())
+    } else {
+        Err(violations
+            .iter()
+            .take(3)
+            .map(|v| v.to_string())
+            .collect::<Vec<_>>()
+            .join("; "))
     }
 }
 
@@ -1366,8 +1514,8 @@ pub mod builtin {
         ),
     ];
 
-    /// The names of the schedule-explorable workload scenarios (the four
-    /// migrated from hand-written Rust).
+    /// The names of the schedule-explorable workload scenarios, in
+    /// [`Scenario::ALL`](crate::scenario::Scenario::ALL) order.
     pub const GRID: &[&str] = &["udp-cross-traffic", "ext2-churn", "dma-fanout", "mail-race"];
 
     /// The raw source of the named builtin, if it exists.

@@ -105,7 +105,8 @@ impl ExplorationReport {
     }
 }
 
-/// Runs `scenario` under `policy`, recording the decision trace.
+/// Boots `scenario` and runs it under `policy` with the full report,
+/// recording the decision trace.
 pub fn run_recorded(
     scenario: Scenario,
     spec: &FaultSpec,
@@ -113,22 +114,9 @@ pub fn run_recorded(
 ) -> (Schedule, RunOutcome) {
     let recorder = Recorder::new();
     let chooser = recorder.chooser(policy);
-    let outcome = scenario.run(spec, Some(chooser));
-    (recorder.schedule(), outcome)
-}
-
-/// Like [`run_recorded`] but through [`Scenario::run_lite`]: the outcome
-/// carries no rendered report, which is all the exploration oracles need
-/// and roughly halves the cost of a run. Replay/byte-identity checks must
-/// use [`run_recorded`].
-pub fn run_recorded_lite(
-    scenario: Scenario,
-    spec: &FaultSpec,
-    policy: Box<dyn SchedulePolicy>,
-) -> (Schedule, RunOutcome) {
-    let recorder = Recorder::new();
-    let chooser = recorder.chooser(policy);
-    let outcome = scenario.run_lite(spec, Some(chooser));
+    let outcome = scenario
+        .compiled()
+        .run(None, spec, Some(chooser), RunOptions::full());
     (recorder.schedule(), outcome)
 }
 
@@ -147,8 +135,12 @@ pub fn check_failure(
     spec: &FaultSpec,
     schedule: &Schedule,
 ) -> Option<(FailureKind, String)> {
-    let baseline = scenario.run(spec, Some(chooser_of(Box::new(Baseline))));
-    let out = scenario.run(spec, Some(chooser_of(Box::new(Replay::new(schedule)))));
+    let compiled = scenario.compiled();
+    let run = |policy: Box<dyn SchedulePolicy>| {
+        compiled.run(None, spec, Some(chooser_of(policy)), RunOptions::full())
+    };
+    let baseline = run(Box::new(Baseline));
+    let out = run(Box::new(Replay::new(schedule)));
     classify(&out, Some(&baseline.end_state))
 }
 

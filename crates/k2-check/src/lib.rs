@@ -12,7 +12,7 @@
 //!   random walks, delay-bounded searches, and exact replay.
 //! * **Schedules** ([`schedule`]) are the recorded decision traces —
 //!   compact `k2s1-…` tokens that reproduce a run bit for bit.
-//! * **Scenarios** ([`scenario`]) are the cross-domain workloads the
+//! * **Scenarios** ([`scenario`]) name the cross-domain workloads the
 //!   explorer drives, plus the fault envelope they run under.
 //! * **Oracles** ([`oracle`]) say what must hold on *every* schedule:
 //!   counter conservation and (for fault-free runs) end-state
@@ -26,10 +26,10 @@
 //! permutes orderings the queue already considered simultaneous, so
 //! every explored schedule is a legal execution of the same program.
 //!
-//! Scenarios can also be written declaratively: [`dsl`] parses the
-//! checked-in `scenarios/*.k2.md` files (spec = test = doc) onto the
-//! same run machinery, and [`matrix`] expands them into the
-//! deterministic conformance matrix `k2-matrix` reports on.
+//! Scenarios are written declaratively: [`dsl`] parses and compiles the
+//! checked-in `scenarios/*.k2.md` files (spec = test = doc) and runs
+//! them, and [`matrix`] expands them into the deterministic conformance
+//! matrix `k2-matrix` reports on.
 
 #![warn(missing_docs)]
 
@@ -50,8 +50,8 @@ pub mod shrink;
 pub use corpus::Corpus;
 pub use dsl::{CompiledScenario, DslError, FleetDef, ScenarioDef};
 pub use explorer::{
-    check_failure, run_recorded, run_recorded_lite, Campaign, CampaignReport, ExplorationReport,
-    Explorer, Failure, FailureKind, Strategy,
+    check_failure, run_recorded, Campaign, CampaignReport, ExplorationReport, Explorer, Failure,
+    FailureKind, Strategy,
 };
 pub use fingerprint::{schedule_fingerprint, span_shape_hash};
 pub use fleet::{

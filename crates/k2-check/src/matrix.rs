@@ -9,8 +9,8 @@
 //! is booted per matrix and forked per cell (the PR 7 snapshot path).
 //!
 //! Expectation tables from the scenario files (`k2 expect` blocks) are
-//! checked on the *baseline-chooser, full-sink* cells — the cells whose
-//! bytes the hand-written scenarios historically pinned; randomized-walk
+//! checked on the *baseline-chooser, full-sink* cells — the default run
+//! every other consumer of a scenario makes; randomized-walk
 //! and lite cells exercise the schedule space and the zero-cost
 //! observability path instead, under the conservation and audit oracles
 //! only.
@@ -314,7 +314,7 @@ fn run_cell_at(
         .fault_spec(&coord.preset, coord.seed)
         .expect("coordinate names a declared preset");
     let chooser = coord.chooser.chooser(coord.seed);
-    let out: RunOutcome = scenario.run_forked(snap, &spec, chooser, coord.sink.options());
+    let out: RunOutcome = scenario.run(Some(snap), &spec, chooser, coord.sink.options());
     let checks = if coord.chooser == ChooserKind::Baseline && coord.sink == SinkKind::Full {
         def.expectations(&coord.preset, coord.seed)
             .into_iter()

@@ -385,7 +385,7 @@ mod tests {
         let same = [EventClass::Step, EventClass::Step];
         let mut p = Pct::new(5, 0, 0);
         let draws: Vec<u32> = (0..64).map(|_| p.choose(&cp(&same))).collect();
-        assert!(draws.iter().any(|&d| d == 1), "ties must not pin to 0");
+        assert!(draws.contains(&1), "ties must not pin to 0");
     }
 
     #[test]

@@ -1,38 +1,20 @@
-//! The workloads the explorer drives, and the fault envelope they run in.
+//! The explorer's named scenarios, and the fault envelope they run in.
 //!
-//! Each [`Scenario`] boots a fresh K2 system through the shared
-//! [`TestSystem`] harness, spawns cross-domain work, runs to completion
-//! under an optional schedule chooser, drains in-flight deliveries, and
-//! snapshots the differential-oracle inputs into a [`RunOutcome`].
-//!
-//! Every scenario also spawns a pair of lock-step "pulse" tasks on the
-//! strong domain's two equal-frequency cores. Their step boundaries tie
-//! at every round, guaranteeing a deep supply of genuine co-enabled
-//! choice points regardless of how the main workload's timing falls —
-//! without them, a scenario could accidentally have a near-linear
-//! schedule space and exploration would be vacuous.
+//! Each [`Scenario`] names one checked-in `scenarios/*.k2.md` file; the
+//! workload itself lives in that file and runs through
+//! [`CompiledScenario::run`]. The enum exists so exploration reports,
+//! generated repro sources and benchmarks can name a scenario as a
+//! value. [`FaultSpec`], [`RunOptions`] and [`RunOutcome`] are the
+//! per-run inputs and outputs every scenario shares.
 
-use crate::oracle::{self, EndState, DOMAINS};
-use k2::system::{K2Machine, K2System, SystemConfig, SystemSnapshot};
+use crate::dsl::{builtin, CompiledScenario};
+use crate::oracle::EndState;
+use k2::system::{SystemConfig, SystemSnapshot};
 use k2_sim::explore::ScheduleChooser;
 use k2_sim::sink::SinkMode;
-use k2_sim::time::SimDuration;
 use k2_soc::fault::FaultPlan;
-use k2_soc::ids::{DomainId, IrqId};
-use k2_soc::mailbox::Mail;
-use k2_soc::platform::{Step, Task, TaskCx};
-use k2_workloads::harness::{TestSystem, Workload};
-use std::cell::RefCell;
-use std::rc::Rc;
-
-/// How long past task completion a run keeps simulating so in-flight
-/// mailbox deliveries and DMA completions settle before the conservation
-/// oracle reads the totals.
-const DRAIN: SimDuration = SimDuration::from_ms(10);
-
-/// Rounds each pulse task runs; every round contributes co-enabled step
-/// and wake events, so this bounds the minimum choice-point depth.
-const PULSE_ROUNDS: u32 = 24;
+use k2_workloads::harness::TestSystem;
+use std::sync::OnceLock;
 
 /// A shrinkable description of the fault envelope a run executes under.
 ///
@@ -119,8 +101,8 @@ impl FaultSpec {
 
 /// What one run records beyond the simulation itself: how heavy the
 /// observability machinery is, and which artifacts to produce at the end.
-/// [`Scenario::run`], [`Scenario::run_lite`] and [`Scenario::run_traced`]
-/// are the named presets.
+/// [`RunOptions::full`], [`RunOptions::lite`], [`RunOptions::traced`] and
+/// [`RunOptions::coverage`] are the named presets.
 #[derive(Clone, Copy, Debug)]
 pub struct RunOptions {
     /// Render `report_json` (the single most expensive step of a run).
@@ -135,7 +117,8 @@ pub struct RunOptions {
 }
 
 impl RunOptions {
-    /// The [`Scenario::run`] preset: full report, boot-default sink.
+    /// Full report, boot-default sink: the preset replay and
+    /// byte-identity checks use.
     pub fn full() -> Self {
         RunOptions {
             render_report: true,
@@ -144,7 +127,11 @@ impl RunOptions {
         }
     }
 
-    /// The [`Scenario::run_lite`] preset: no report, disabled span sink.
+    /// No report, disabled span sink. The oracles never read the report
+    /// or the spans, and both are pure observation — recording never
+    /// perturbs event timing — so exploration campaigns, which execute
+    /// hundreds of runs and only ever classify their outcomes, use this
+    /// preset. `report_json` comes back empty.
     pub fn lite() -> Self {
         RunOptions {
             render_report: false,
@@ -153,8 +140,8 @@ impl RunOptions {
         }
     }
 
-    /// The [`Scenario::run_traced`] preset: full observability plus the
-    /// Chrome trace export.
+    /// Full observability plus the Chrome trace export — the `k2-trace`
+    /// binary's preset.
     pub fn traced() -> Self {
         RunOptions {
             render_report: true,
@@ -163,10 +150,9 @@ impl RunOptions {
         }
     }
 
-    /// The [`Scenario::run_coverage`] preset: no report (campaign runs
-    /// never read it) but the boot-default full span sink, so the run's
-    /// span-graph shape — the second fingerprint component — is
-    /// captured. Sits between [`RunOptions::lite`] and
+    /// No report (campaign runs never read it) but the boot-default full
+    /// span sink, so the run's span-graph shape — the second fingerprint
+    /// component — is captured. Sits between [`RunOptions::lite`] and
     /// [`RunOptions::full`] in cost.
     pub fn coverage() -> Self {
         RunOptions {
@@ -201,11 +187,8 @@ pub struct RunOutcome {
     pub audit: Result<(), String>,
 }
 
-/// A scenario's workload driver: spawns the work against a booted
-/// system and returns the scenario-specific end-state extras.
-type DriverFn = Box<dyn FnOnce(&mut TestSystem) -> Vec<(String, String)>>;
-
-/// A named, reproducible exploration target.
+/// A named, reproducible exploration target: one of the builtin
+/// `scenarios/*.k2.md` grid files.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Scenario {
     /// Symmetric UDP loopback traffic on both domains.
@@ -238,7 +221,8 @@ impl Scenario {
         Scenario::DmaFanout,
     ];
 
-    /// Kebab-case name, used for repro file names.
+    /// Kebab-case name: the builtin file stem, also used for repro file
+    /// names.
     pub fn name(self) -> &'static str {
         match self {
             Scenario::UdpCrossTraffic => "udp-cross-traffic",
@@ -258,56 +242,20 @@ impl Scenario {
         }
     }
 
-    /// Boots a fresh system, runs this scenario under `spec` and the
-    /// given chooser (None = the queue's own tie-break), and snapshots
-    /// the oracle inputs.
-    pub fn run(self, spec: &FaultSpec, chooser: Option<ScheduleChooser>) -> RunOutcome {
-        self.run_with(spec, chooser, RunOptions::full())
+    /// This scenario's builtin file, parsed and compiled once per
+    /// process.
+    pub fn compiled(self) -> &'static CompiledScenario {
+        static COMPILED: [OnceLock<CompiledScenario>; 4] = [const { OnceLock::new() }; 4];
+        COMPILED[self as usize].get_or_init(|| {
+            builtin::load(self.name())
+                .compile()
+                .unwrap_or_else(|e| panic!("builtin scenario `{}`: {e}", self.name()))
+        })
     }
 
-    /// Like [`Scenario::run`] but with the observability machinery
-    /// stripped: no report rendering (`report_json` comes back empty) and
-    /// the disabled span sink. The oracles never read the report or the
-    /// spans, and both are pure observation — recording never perturbs
-    /// event timing — so exploration campaigns, which execute hundreds of
-    /// runs and only ever classify their outcomes, use this path. Replay
-    /// and byte-identity checks must use [`Scenario::run`].
-    pub fn run_lite(self, spec: &FaultSpec, chooser: Option<ScheduleChooser>) -> RunOutcome {
-        self.run_with(spec, chooser, RunOptions::lite())
-    }
-
-    /// Like [`Scenario::run`] but also arms the event-trace ring and
-    /// returns the Chrome trace-event export in `chrome_trace` — the
-    /// `k2-trace` binary's entry point.
-    pub fn run_traced(self, spec: &FaultSpec, chooser: Option<ScheduleChooser>) -> RunOutcome {
-        self.run_with(spec, chooser, RunOptions::traced())
-    }
-
-    /// Like [`Scenario::run_lite`] but keeps span recording on so the
-    /// outcome carries a meaningful `span_shape` — the run mode of
-    /// coverage-guided campaigns, where every run's fingerprint needs
-    /// the span-graph component.
-    pub fn run_coverage(self, spec: &FaultSpec, chooser: Option<ScheduleChooser>) -> RunOutcome {
-        self.run_with(spec, chooser, RunOptions::coverage())
-    }
-
-    /// Boots a fresh system, runs this scenario under `spec`, the given
-    /// chooser and explicit [`RunOptions`], and snapshots the oracle
-    /// inputs.
-    pub fn run_with(
-        self,
-        spec: &FaultSpec,
-        chooser: Option<ScheduleChooser>,
-        opts: RunOptions,
-    ) -> RunOutcome {
-        run_system(None, spec, chooser, opts, self.driver())
-    }
-
-    /// Like [`Scenario::run_with`], but forks the pre-booted frozen image
-    /// `snap` instead of booting. The snapshot is taken post-boot and
-    /// pre-knob (see [`Scenario::boot_snapshot`]), so the forked run is
-    /// byte-identical to a boot-then-run of the same scenario, spec,
-    /// chooser and options — the differential suite pins this down.
+    /// Runs this scenario on a fork of the pre-booted frozen image
+    /// `snap` (see [`Scenario::boot_snapshot`]) — what exploration
+    /// campaigns do once per run.
     pub fn run_forked(
         self,
         snap: &SystemSnapshot,
@@ -315,7 +263,7 @@ impl Scenario {
         chooser: Option<ScheduleChooser>,
         opts: RunOptions,
     ) -> RunOutcome {
-        run_system(Some(snap), spec, chooser, opts, self.driver())
+        self.compiled().run(Some(snap), spec, chooser, opts)
     }
 
     /// Boots the scenario harness's standard system once and freezes it
@@ -326,259 +274,6 @@ impl Scenario {
     /// freeze it once on the coordinator and fork per run.
     pub fn boot_snapshot() -> SystemSnapshot {
         TestSystem::freeze_boot(SystemConfig::k2())
-    }
-
-    /// The scenario's workload driver: spawns the work, runs to
-    /// completion, and returns the scenario-specific end-state extras.
-    fn driver(self) -> DriverFn {
-        match self {
-            Scenario::UdpCrossTraffic => Box::new(|t| {
-                let mut extra = Vec::new();
-                for (i, &dom) in DOMAINS.iter().enumerate() {
-                    let id = t.background(if i == 0 { "udp-a" } else { "udp-b" });
-                    let report = t.spawn_workload(
-                        dom,
-                        id,
-                        Workload::Udp {
-                            batch: 8 << 10,
-                            total: 24 << 10,
-                        },
-                        i as u32,
-                    );
-                    extra.push((format!("udp[{i}].bytes"), report));
-                }
-                spawn_pulses(t);
-                t.run_until_idle();
-                extra
-                    .into_iter()
-                    .map(|(k, r)| (k, r.borrow().bytes.to_string()))
-                    .collect()
-            }),
-            Scenario::Ext2Churn => Box::new(|t| {
-                let mut extra = Vec::new();
-                for (i, &dom) in DOMAINS.iter().enumerate() {
-                    let id = t.background(if i == 0 { "fs-a" } else { "fs-b" });
-                    let report = t.spawn_workload(
-                        dom,
-                        id,
-                        Workload::Ext2 {
-                            file_size: 8 << 10,
-                            files: 3,
-                        },
-                        17 + 82 * i as u32,
-                    );
-                    extra.push((format!("ext2[{i}].bytes"), report));
-                }
-                spawn_pulses(t);
-                t.run_until_idle();
-                extra
-                    .into_iter()
-                    .map(|(k, r)| (k, r.borrow().bytes.to_string()))
-                    .collect()
-            }),
-            Scenario::DmaFanout => Box::new(|t| {
-                let mut extra = Vec::new();
-                for (i, &dom) in DOMAINS.iter().enumerate() {
-                    let id = t.background(if i == 0 { "dma-a" } else { "dma-b" });
-                    let report = t.spawn_workload(
-                        dom,
-                        id,
-                        Workload::Dma {
-                            batch: 8 << 10,
-                            total: 32 << 10,
-                        },
-                        i as u32,
-                    );
-                    extra.push((format!("dma[{i}].bytes"), report));
-                }
-                spawn_pulses(t);
-                t.run_until_idle();
-                extra
-                    .into_iter()
-                    .map(|(k, r)| (k, r.borrow().bytes.to_string()))
-                    .collect()
-            }),
-            Scenario::MailRace => Box::new(|t| {
-                // Replace the weak domain's mailbox ISR with one that keeps
-                // only the *last* mail it drains — the planted ordering bug.
-                let last = Rc::new(RefCell::new(0u32));
-                let cell = last.clone();
-                t.m.set_irq_hook(
-                    DomainId::WEAK,
-                    IrqId::mailbox_for(DomainId::WEAK),
-                    Box::new(move |_w: &mut K2System, m: &mut K2Machine, _cx| {
-                        let mut cycles = 0u64;
-                        while let Some(env) = m.mailbox_recv(DomainId::WEAK) {
-                            *cell.borrow_mut() = env.mail.0;
-                            cycles += 120;
-                        }
-                        cycles
-                    }),
-                );
-                // Two same-instant sends: their MailDeliver events are
-                // co-enabled, so the chooser decides which lands first.
-                t.m.mailbox_send(DomainId::STRONG, DomainId::WEAK, Mail(0xB0B0_0001));
-                t.m.mailbox_send(DomainId::STRONG, DomainId::WEAK, Mail(0xB0B0_0002));
-                spawn_pulses(t);
-                t.run_until_idle();
-                let last = *last.borrow();
-                vec![("mailrace.last".to_string(), format!("{last:08x}"))]
-            }),
-        }
-    }
-}
-
-/// The absolute grid every pulse task realigns its wake-ups to.
-const PULSE_PERIOD: u64 = 100_000; // ns
-
-/// A busy/sleep loop that sleeps to the next *absolute* grid boundary
-/// rather than for a fixed duration. Queueing delays on shared cores
-/// therefore never desynchronize the pulses: every live pulse's wake
-/// lands on the same instant each period, keeping their wake (and, on
-/// dedicated cores, step-boundary) events co-enabled round after round.
-struct PulseTask {
-    rounds: u32,
-    computing: bool,
-}
-
-impl Task<K2System> for PulseTask {
-    fn step(&mut self, _w: &mut K2System, _m: &mut K2Machine, cx: TaskCx) -> Step {
-        if self.computing {
-            self.computing = false;
-            if self.rounds == 0 {
-                return Step::Done;
-            }
-            self.rounds -= 1;
-            let now = cx.now.as_ns();
-            let next = (now / PULSE_PERIOD + 1) * PULSE_PERIOD;
-            Step::Sleep {
-                dur: SimDuration::from_ns(next - now),
-            }
-        } else {
-            self.computing = true;
-            Step::ComputeTime {
-                dur: SimDuration::from_us(40),
-            }
-        }
-    }
-
-    fn name(&self) -> &str {
-        "pulse"
-    }
-}
-
-/// Spawns pulse tasks on up to two cores of each domain.
-fn spawn_pulses(t: &mut TestSystem) {
-    spawn_pulses_with(t, 2, PULSE_ROUNDS);
-}
-
-/// Spawns `rounds`-round pulse tasks on up to `cores` cores of each
-/// domain — the parameterized form DSL-compiled scenarios use, with the
-/// same grid alignment as the hand-written scenarios.
-pub(crate) fn spawn_pulses_with(t: &mut TestSystem, cores: u32, rounds: u32) {
-    for dom in DOMAINS {
-        let picked: Vec<_> =
-            t.m.domain_cores(dom)
-                .iter()
-                .copied()
-                .take(cores as usize)
-                .collect();
-        for core in picked {
-            t.m.spawn(
-                core,
-                Box::new(PulseTask {
-                    rounds,
-                    computing: false,
-                }),
-                &mut t.sys,
-            );
-        }
-    }
-}
-
-/// Shared run skeleton: boot, install plan + chooser + auditor, drive,
-/// drain, then snapshot the oracle inputs. The profile report is rendered
-/// before any other read so nothing perturbs its bytes.
-/// Capacity of the event-trace ring a traced run records into — sized so
-/// a scenario's whole post-settle window survives for export.
-const TRACE_CAPACITY: usize = 1 << 16;
-
-pub(crate) fn run_system(
-    snap: Option<&SystemSnapshot>,
-    spec: &FaultSpec,
-    chooser: Option<ScheduleChooser>,
-    opts: RunOptions,
-    drive: impl FnOnce(&mut TestSystem) -> Vec<(String, String)>,
-) -> RunOutcome {
-    let mut builder = TestSystem::builder().seed(spec.seed).audit(64);
-    if let Some(plan) = spec.to_plan() {
-        builder = builder.fault_plan(plan);
-    }
-    if let Some(mode) = opts.sink {
-        builder = builder.span_sink(mode);
-    }
-    let mut t = match snap {
-        Some(s) => builder.build_from(s),
-        None => builder.build(),
-    };
-    if opts.chrome_trace {
-        t.m.set_trace_capacity(TRACE_CAPACITY);
-        t.m.set_trace(true);
-    }
-    if let Some(c) = chooser {
-        t.m.set_schedule_chooser(c);
-    }
-    let extra = drive(&mut t);
-    t.run_for(DRAIN);
-    t.m.clear_schedule_chooser();
-
-    let report_json = if opts.render_report {
-        t.sys.profile_report(&t.m).render_compact()
-    } else {
-        String::new()
-    };
-    let chrome_trace = opts.chrome_trace.then(|| {
-        let mut s = String::new();
-        t.m.write_chrome_trace(&mut s);
-        s
-    });
-    let conservation = oracle::check_conservation(&t.m);
-    let audit = audit_verdict(&t.m);
-    let choice_points = t.m.choice_points();
-    let events = t.events_processed();
-    let span_shape = if t.m.spans().is_enabled() {
-        crate::fingerprint::span_shape_hash(t.m.spans())
-    } else {
-        0
-    };
-    let mut end_state = oracle::capture_end_state(&mut t);
-    for (k, v) in extra {
-        end_state.push(k, v);
-    }
-    RunOutcome {
-        end_state,
-        report_json,
-        chrome_trace,
-        events,
-        choice_points,
-        span_shape,
-        conservation,
-        audit,
-    }
-}
-
-/// Summarizes the machine's invariant auditor into a pass/fail verdict.
-fn audit_verdict(m: &K2Machine) -> Result<(), String> {
-    let violations = m.auditor().violations();
-    if violations.is_empty() {
-        Ok(())
-    } else {
-        Err(violations
-            .iter()
-            .take(3)
-            .map(|v| v.to_string())
-            .collect::<Vec<_>>()
-            .join("; "))
     }
 }
 
@@ -607,7 +302,9 @@ mod tests {
     #[test]
     fn every_scenario_generates_deep_choice_points() {
         for s in Scenario::ALL {
-            let out = s.run(&FaultSpec::none(), None);
+            let out = s
+                .compiled()
+                .run(None, &FaultSpec::none(), None, RunOptions::full());
             assert!(
                 out.choice_points >= 40,
                 "{}: only {} choice points — exploration would be vacuous",
@@ -622,8 +319,12 @@ mod tests {
     #[test]
     fn baseline_runs_are_reproducible() {
         for s in [Scenario::Ext2Churn, Scenario::MailRace] {
-            let a = s.run(&FaultSpec::none(), None);
-            let b = s.run(&FaultSpec::none(), None);
+            let a = s
+                .compiled()
+                .run(None, &FaultSpec::none(), None, RunOptions::full());
+            let b = s
+                .compiled()
+                .run(None, &FaultSpec::none(), None, RunOptions::full());
             assert_eq!(a.report_json, b.report_json, "{}", s.name());
             assert_eq!(a.end_state, b.end_state, "{}", s.name());
         }

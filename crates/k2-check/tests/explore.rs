@@ -5,7 +5,7 @@
 
 use k2_check::{
     check_failure, chooser_of, repro, run_recorded, shrink, Baseline, Campaign, Explorer,
-    FailureKind, FaultSpec, RandomWalk, Replay, Scenario, Schedule, Strategy,
+    FailureKind, FaultSpec, RandomWalk, Replay, RunOptions, Scenario, Schedule, Strategy,
 };
 
 fn budget() -> u32 {
@@ -61,7 +61,6 @@ fn conservation_holds_under_faults_on_every_schedule() {
         mail_duplicate: 0.08,
         dma_fail: 0.10,
         dma_partial: 0.10,
-        ..FaultSpec::none()
     };
     for scenario in [Scenario::UdpCrossTraffic, Scenario::DmaFanout] {
         let report = Explorer::new(scenario, seed())
@@ -146,7 +145,7 @@ fn seeded_mail_race_is_caught_shrunk_and_emitted() {
 }
 
 /// Replaying a recorded schedule token reproduces the run exactly — the
-/// full `profile_report()` JSON is byte-for-byte identical, not just the
+/// full profile report JSON is byte-for-byte identical, not just the
 /// end state. This is the property that makes `k2s1-…` tokens sufficient
 /// repro artifacts on their own.
 #[test]
@@ -159,7 +158,12 @@ fn replaying_a_recorded_schedule_reproduces_the_report_bytes() {
                 &spec,
                 Box::new(RandomWalk::new(seed(), 7_000 + stream)),
             );
-            let replayed = scenario.run(&spec, Some(chooser_of(Box::new(Replay::new(&schedule)))));
+            let replayed = scenario.compiled().run(
+                None,
+                &spec,
+                Some(chooser_of(Box::new(Replay::new(&schedule)))),
+                RunOptions::full(),
+            );
             assert_eq!(
                 original.report_json,
                 replayed.report_json,
@@ -233,7 +237,9 @@ fn baseline_policy_matches_the_native_schedule() {
     let (schedule, with_chooser) = run_recorded(Scenario::Ext2Churn, &spec, Box::new(Baseline));
     assert_eq!(schedule.deviations(), 0);
     assert_eq!(schedule.trimmed(), Schedule::baseline());
-    let native = Scenario::Ext2Churn.run(&spec, None);
+    let native = Scenario::Ext2Churn
+        .compiled()
+        .run(None, &spec, None, RunOptions::full());
     assert_eq!(with_chooser.report_json, native.report_json);
     assert_eq!(with_chooser.end_state, native.end_state);
 }

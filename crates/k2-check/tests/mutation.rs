@@ -5,8 +5,8 @@
 //! recorder on real scenario runs.
 
 use k2_check::{
-    chooser_of, run_recorded, FaultSpec, Mutator, RandomWalk, Recorder, Replay, Scenario, Schedule,
-    MAX_DECISION, MAX_LEN,
+    chooser_of, run_recorded, FaultSpec, Mutator, RandomWalk, Recorder, Replay, RunOptions,
+    Scenario, Schedule, MAX_DECISION, MAX_LEN,
 };
 
 /// Parents recorded from real runs: a couple of random walks plus the
@@ -89,7 +89,10 @@ fn replayed_mutants_stay_within_clamp_bounds_and_re_replay_exactly() {
         let (_, child) = mutator.mutate(&parent, Some(&parent));
         let recorder = Recorder::new();
         let chooser = recorder.chooser(Box::new(Replay::new(&child)));
-        let outcome = Scenario::MailRace.run(&spec, Some(chooser));
+        let outcome =
+            Scenario::MailRace
+                .compiled()
+                .run(None, &spec, Some(chooser), RunOptions::full());
         let recorded = recorder.schedule();
         let trace = recorder.class_trace();
         assert_eq!(
@@ -103,8 +106,12 @@ fn replayed_mutants_stay_within_clamp_bounds_and_re_replay_exactly() {
                 "recorded decision {d} out of range for arity {arity}"
             );
         }
-        let replayed =
-            Scenario::MailRace.run(&spec, Some(chooser_of(Box::new(Replay::new(&recorded)))));
+        let replayed = Scenario::MailRace.compiled().run(
+            None,
+            &spec,
+            Some(chooser_of(Box::new(Replay::new(&recorded)))),
+            RunOptions::full(),
+        );
         assert_eq!(
             outcome.report_json, replayed.report_json,
             "recorded mutant schedule must replay byte-identically"
@@ -129,7 +136,9 @@ fn truncated_traces_replay_as_their_prefix() {
         let truncated = parent.prefix(cut);
         let recorder = Recorder::new();
         let chooser = recorder.chooser(Box::new(Replay::new(&truncated)));
-        Scenario::Ext2Churn.run(&spec, Some(chooser));
+        Scenario::Ext2Churn
+            .compiled()
+            .run(None, &spec, Some(chooser), RunOptions::full());
         let recorded = recorder.schedule();
         assert_eq!(
             &recorded.decisions()[..cut],

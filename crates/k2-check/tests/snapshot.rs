@@ -29,7 +29,9 @@ fn forked_runs_match_booted_runs_byte_for_byte() {
                 seed,
                 ..FaultSpec::none()
             };
-            let booted = scenario.run_with(&spec, None, RunOptions::full());
+            let booted = scenario
+                .compiled()
+                .run(None, &spec, None, RunOptions::full());
             let forked = scenario.run_forked(&snap, &spec, None, RunOptions::full());
             assert_eq!(
                 booted.report_json,
@@ -68,7 +70,9 @@ fn forked_faulted_runs_match_booted_runs() {
             dma_partial: 0.05,
         };
         for scenario in [Scenario::UdpCrossTraffic, Scenario::DmaFanout] {
-            let booted = scenario.run_with(&spec, None, RunOptions::full());
+            let booted = scenario
+                .compiled()
+                .run(None, &spec, None, RunOptions::full());
             let forked = scenario.run_forked(&snap, &spec, None, RunOptions::full());
             assert_eq!(
                 booted.report_json,
@@ -89,7 +93,8 @@ fn forked_runs_match_under_schedule_choosers() {
     let snap = Scenario::boot_snapshot();
     for scenario in [Scenario::MailRace, Scenario::Ext2Churn] {
         let spec = FaultSpec::none();
-        let booted = scenario.run_with(
+        let booted = scenario.compiled().run(
+            None,
             &spec,
             Some(chooser_of(Box::new(RandomWalk::new(2014, 7)))),
             RunOptions::full(),
@@ -196,7 +201,8 @@ fn planted_race_repro_token_replays_from_snapshot() {
         Some(chooser_of(Box::new(Baseline))),
         RunOptions::full(),
     );
-    let booted = Scenario::MailRace.run_with(
+    let booted = Scenario::MailRace.compiled().run(
+        None,
         &spec,
         Some(chooser_of(Box::new(Replay::new(&parsed)))),
         RunOptions::full(),

@@ -983,7 +983,7 @@ mod tests {
         impl std::io::Write for Cramped {
             fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
                 if buf.len() > self.cap {
-                    return Err(std::io::Error::new(std::io::ErrorKind::Other, "full"));
+                    return Err(std::io::Error::other("full"));
                 }
                 self.cap -= buf.len();
                 Ok(buf.len())

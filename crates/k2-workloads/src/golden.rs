@@ -4,8 +4,8 @@
 //!
 //! Each scenario boots K2, arms a seeded fault plan (so the reliability
 //! paths — retransmission, dedup, DMA resubmission — appear in the trace),
-//! drives one representative workload, and renders
-//! [`K2System::profile_report`]. Determinism is the contract: the same
+//! drives one representative workload, and streams
+//! [`K2System::write_profile_report`]. Determinism is the contract: the same
 //! `(scenario, seed)` pair must produce the identical byte string on every
 //! run, machine, and OS — the report contains only simulated time, never
 //! wall-clock time.

@@ -303,23 +303,13 @@ impl K2System {
         (machine, sys)
     }
 
-    /// The machine-wide profile report (see [`Machine::profile_report`])
-    /// extended with a `system` section: the OS-level view — shadowed-op
-    /// and lock counters, DSM and NightWatch protocol statistics, balloon
-    /// traffic, reliable-link totals. Deterministic: two runs of the same
-    /// seeded scenario render byte-identical JSON.
-    pub fn profile_report(&self, m: &K2Machine) -> Json {
-        let mut j = m.profile_report();
-        j.push("system", self.system_section());
-        j
-    }
-
-    /// Streams the full profile report through `w` — identical bytes to
-    /// `profile_report(m).render_*()` (the machine fields stream entry
-    /// by entry via [`Machine::write_profile_fields`]; the `system`
-    /// section is small and rendered as a tree). Golden reports and the
-    /// export binary use this path so report size never dictates peak
-    /// memory.
+    /// Streams the full profile report through `w`: the machine-wide
+    /// fields (see [`Machine::write_profile_fields`]) followed by a
+    /// `system` section with the OS-level view — shadowed-op and lock
+    /// counters, DSM and NightWatch protocol statistics, balloon traffic,
+    /// reliable-link totals. The `system` section is small and rendered
+    /// as a tree. Deterministic: two runs of the same seeded scenario
+    /// render byte-identical JSON.
     pub fn write_profile_report<W: std::fmt::Write + ?Sized>(
         &self,
         m: &K2Machine,
@@ -1714,10 +1704,14 @@ mod tests {
         m.run_until(m.now() + SimDuration::from_secs(6), &mut sys);
         fm.run_until(fm.now() + SimDuration::from_secs(6), &mut fsys);
         assert_eq!(m.state_digest(), fm.state_digest());
-        assert_eq!(
-            sys.profile_report(&m).render_compact(),
-            fsys.profile_report(&fm).render_compact()
-        );
+        let render = |m: &K2Machine, sys: &K2System| {
+            let mut out = String::new();
+            let mut w = JsonWriter::compact(&mut out);
+            sys.write_profile_report(m, &mut w);
+            w.finish();
+            out
+        };
+        assert_eq!(render(&m, &sys), render(&fm, &fsys));
     }
 
     #[test]

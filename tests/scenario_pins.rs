@@ -9,7 +9,6 @@
 //! Holding that digest to its recorded value pins the scenarios' whole
 //! observable behaviour (and the compact report renderer) byte for byte.
 
-use k2_check::dsl::builtin;
 use k2_check::matrix::CI_SEEDS;
 use k2_check::{FaultSpec, MatrixSpec, RunOptions, Scenario};
 
@@ -40,10 +39,10 @@ fn forked_dsl_runs_match_booted_dsl_runs() {
         seed: CI_SEEDS[0],
         ..FaultSpec::none()
     };
-    for name in builtin::GRID {
-        let compiled = builtin::load(name).compile().unwrap();
-        let booted = compiled.run_with(&spec, None, RunOptions::full());
-        let forked = compiled.run_forked(&snap, &spec, None, RunOptions::full());
+    for scenario in Scenario::ALL {
+        let (name, compiled) = (scenario.name(), scenario.compiled());
+        let booted = compiled.run(None, &spec, None, RunOptions::full());
+        let forked = compiled.run(Some(&snap), &spec, None, RunOptions::full());
         assert_eq!(booted.report_json, forked.report_json, "{name}");
         assert_eq!(
             booted.end_state.entries(),
