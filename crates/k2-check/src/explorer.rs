@@ -168,11 +168,7 @@ fn classify(out: &RunOutcome, reference: Option<&EndState>) -> Option<(FailureKi
 /// slots; the returned vector is strictly index-ordered. The result is
 /// therefore independent of the worker count, including 1 (which runs
 /// inline without spawning).
-pub(crate) fn fan_out<T: Send>(
-    count: u32,
-    workers: usize,
-    job: impl Fn(u32) -> T + Sync,
-) -> Vec<T> {
+pub fn fan_out<T: Send>(count: u32, workers: usize, job: impl Fn(u32) -> T + Sync) -> Vec<T> {
     if workers <= 1 || count <= 1 {
         return (0..count).map(job).collect();
     }

@@ -433,8 +433,9 @@ impl Task<K2System> for WarmupTask {
 }
 
 /// Boots one machine and runs the warm-up workload to quiescence: the
-/// per-machine "boot + setup" cost that forking replaces. `bench_pr9`
-/// measures this against [`K2System::fork`] and gates the ratio at ≥ 5×.
+/// per-machine "boot + setup" cost that forking replaces. `k2-perf
+/// fleet` measures this against [`K2System::fork`] and asserts the ratio
+/// is ≥ 5×.
 pub fn cold_machine() -> (K2Machine, K2System) {
     let (mut m, mut sys) = K2System::boot(SystemConfig::k2());
     let core = K2System::kernel_core(&m, DomainId::STRONG);

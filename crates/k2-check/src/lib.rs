@@ -50,8 +50,8 @@ pub mod shrink;
 pub use corpus::Corpus;
 pub use dsl::{CompiledScenario, DslError, FleetDef, ScenarioDef};
 pub use explorer::{
-    check_failure, run_recorded, Campaign, CampaignReport, ExplorationReport, Explorer, Failure,
-    FailureKind, Strategy,
+    check_failure, fan_out, run_recorded, Campaign, CampaignReport, ExplorationReport, Explorer,
+    Failure, FailureKind, Strategy,
 };
 pub use fingerprint::{schedule_fingerprint, span_shape_hash};
 pub use fleet::{

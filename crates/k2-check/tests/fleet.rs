@@ -67,7 +67,8 @@ fn sync_storm_scenario_meets_its_pinned_expectations() {
 
 /// The tentpole determinism contract at committed scale: the full
 /// 1,000-device storm produces byte-identical reports and digests at
-/// 1, 2, and 8 workers (the CI smoke re-asserts this in release).
+/// 1, 2, and 8 workers (`k2-perf smoke` re-asserts this in release at a
+/// 40-epoch horizon).
 #[test]
 fn sync_storm_report_is_byte_identical_at_1_2_8_workers() {
     let snap = fleet::warmed_snapshot();
