@@ -54,7 +54,10 @@ fn main() {
     }
 
     if let Some(name) = expect {
-        bless(&name);
+        if let Err(e) = bless(&name) {
+            eprintln!("k2-matrix: {e}");
+            usage();
+        }
         return;
     }
     if let Some(id) = cell {
@@ -83,8 +86,12 @@ fn main() {
 /// named builtin — the bless helper used to populate the checked-in
 /// files. Grid scenarios report their end-state extras per preset (one
 /// block when every CI seed agrees, per-seed blocks otherwise); eval
-/// scenarios report the full conformance metric map.
-fn bless(name: &str) {
+/// scenarios report the full conformance metric map. Fails on an
+/// unknown name and on a scenario that does not compile (a fleet file).
+fn bless(name: &str) -> Result<(), String> {
+    if builtin::source(name).is_none() {
+        return Err(format!("unknown builtin scenario `{name}`"));
+    }
     let def = builtin::load(name);
     if def.is_eval() {
         let out = conformance::eval_builtin(name);
@@ -95,9 +102,11 @@ fn bless(name: &str) {
             println!("| {metric} | {value} |");
         }
         println!("```");
-        return;
+        return Ok(());
     }
-    let compiled = def.compile().expect("grid scenario compiles");
+    let compiled = def
+        .compile()
+        .map_err(|e| format!("cannot bless `{name}`: {e}"))?;
     let metrics: Vec<String> = {
         let mut m: Vec<String> = def.grid.iter().map(|r| r.metric.clone()).collect();
         m.extend(def.steps.iter().filter_map(|s| match s {
@@ -148,4 +157,5 @@ fn bless(name: &str) {
         }
         println!();
     }
+    Ok(())
 }

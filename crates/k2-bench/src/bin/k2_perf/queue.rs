@@ -1,12 +1,12 @@
 //! `queue` → `BENCH_pr4.json`: slab event-queue churn, and serial vs
-//! parallel schedule exploration.
+//! parallel random-walk campaigns.
 //!
 //! The queue microbench runs once to warm up, then twice measured; it
 //! reports the mean of the two runs (the two-run median), which halves
 //! runner noise and lets the gate on `slab_events_per_sec` sit at −15%.
 
 use crate::common::{allocations, document, host_parallelism, Fields};
-use k2_check::{Explorer, Scenario};
+use k2_check::{Campaign, CampaignReport, Scenario, Strategy};
 use k2_sim::queue::EventQueue;
 use k2_sim::rng::SimRng;
 use k2_sim::time::SimTime;
@@ -96,44 +96,24 @@ struct ExploreResult {
     threads: usize,
 }
 
-/// A report reduced to its observable fields, for the serial-vs-parallel
-/// identity assertion.
-fn fingerprint(r: &k2_check::ExplorationReport) -> (u32, usize, u64, Vec<String>) {
-    let failures = r
-        .failures
-        .iter()
-        .map(|f| format!("{}:{}:{}", f.policy, f.kind, f.schedule.token()))
-        .collect();
-    (
-        r.runs,
-        r.distinct_schedules,
-        r.total_choice_points,
-        failures,
-    )
+fn campaign(scenario: Scenario, threads: usize) -> (CampaignReport, f64) {
+    let start = Instant::now();
+    let report = Campaign::new(scenario, Strategy::Random, EXPLORE_SEED)
+        .budget(EXPLORE_BUDGET)
+        .threads(threads)
+        .run();
+    (report, start.elapsed().as_secs_f64())
 }
 
 fn bench_exploration(scenario: Scenario, workers: usize) -> ExploreResult {
-    let serial_start = Instant::now();
-    let serial = Explorer::new(scenario, EXPLORE_SEED)
-        .budget(EXPLORE_BUDGET)
-        .threads(1)
-        .run();
-    let serial_secs = serial_start.elapsed().as_secs_f64();
-
-    let parallel_start = Instant::now();
-    let parallel = Explorer::new(scenario, EXPLORE_SEED)
-        .budget(EXPLORE_BUDGET)
-        .threads(workers)
-        .run();
-    let parallel_secs = parallel_start.elapsed().as_secs_f64();
-
+    let (serial, serial_secs) = campaign(scenario, 1);
+    let (parallel, parallel_secs) = campaign(scenario, workers);
     assert_eq!(
-        fingerprint(&serial),
-        fingerprint(&parallel),
+        serial.render_json(),
+        parallel.render_json(),
         "{}: parallel exploration diverged from serial",
         scenario.name()
     );
-
     ExploreResult {
         name: scenario.name(),
         serial_secs,

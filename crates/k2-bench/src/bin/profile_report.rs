@@ -2,6 +2,12 @@
 //!
 //! Usage: `profile_report [--seed N] > BENCH_pr2.json` (default seed 2014,
 //! matching the golden-trace suite).
+
+fn usage() -> ! {
+    eprintln!("usage: profile_report [--seed N]");
+    std::process::exit(2);
+}
+
 fn main() {
     let mut seed = 2014u64;
     let mut args = std::env::args().skip(1);
@@ -11,9 +17,9 @@ fn main() {
                 seed = args
                     .next()
                     .and_then(|v| v.parse().ok())
-                    .expect("--seed takes an integer");
+                    .unwrap_or_else(|| usage());
             }
-            other => panic!("unknown argument {other:?}"),
+            _ => usage(),
         }
     }
     print!("{}", k2_bench::profile_report_bundle(seed));

@@ -1,39 +1,38 @@
 //! The exploration driver: many runs, many schedules, one verdict.
 //!
-//! An [`Explorer`] runs a scenario once under the baseline schedule to
+//! A [`Campaign`] runs a scenario once under the baseline schedule to
 //! establish the reference outcome, then spends its budget on perturbed
-//! runs — alternating seeded random walks with delay-bounded searches —
-//! recording every decision trace. Each run is checked against the
-//! always-on oracles (conservation, invariant audit); fault-free runs
-//! are additionally compared against the baseline end state.
+//! runs chosen by its [`Strategy`] — seeded random walks, PCT priority
+//! schedules, or the coverage-guided corpus-and-mutate loop — recording
+//! every decision trace. Each run is checked against the always-on
+//! oracles (conservation, invariant audit); fault-free runs are
+//! additionally compared against the baseline end state.
 //!
 //! # Parallelism
 //!
 //! Every perturbed run is a complete, self-contained simulation that
-//! owns all of its state, and its schedule policy is a pure function of
-//! `(seed, run index)`. The campaign is therefore embarrassingly
-//! parallel, and [`Explorer::run`] fans the budget out over a scoped
-//! worker pool (`K2CHECK_THREADS`, default: available parallelism).
-//! The system boots exactly *once* per campaign: the coordinator
-//! freezes the post-boot image as a [`SystemSnapshot`] and every run —
-//! baseline and perturbed alike — forks it, shaving the boot phase off
-//! each run's cost without touching any observable byte (a fork is
-//! byte-indistinguishable from a fresh boot; the differential snapshot
-//! suite pins this). Determinism survives because *what* each indexed
-//! run does never depends on which thread executes it or when — workers
-//! claim indices from an atomic counter, park results in per-index
-//! slots, and the report is merged strictly in index order. The
-//! exploration verdict, distinct-schedule count, and first-failure
-//! selection are byte-identical for any worker count, including one;
-//! the thread-invariance test pins this down.
+//! owns all of its state, and its plan is a pure function of `(seed,
+//! run index, corpus at generation start)`. [`Campaign::run`] therefore
+//! fans each planning generation out over a scoped worker pool
+//! (`K2CHECK_THREADS`, default: available parallelism) with
+//! [`fan_out`]. The system boots exactly *once* per campaign: the
+//! coordinator freezes the post-boot image as a [`SystemSnapshot`] and
+//! every run — baseline and perturbed alike — forks it, shaving the boot
+//! phase off each run's cost without touching any observable byte (a
+//! fork is byte-indistinguishable from a fresh boot; the differential
+//! snapshot suite pins this). Determinism survives because *what* each
+//! indexed run does never depends on which thread executes it or when —
+//! workers claim indices from an atomic counter, park results in
+//! per-index slots, and the report is merged strictly in index order.
+//! The rendered report, including first-failure selection, is
+//! byte-identical for any worker count, including one; the
+//! thread-invariance tests pin this down.
 
 use crate::corpus::Corpus;
 use crate::fingerprint::schedule_fingerprint;
 use crate::mutate::{Mutation, Mutator};
 use crate::oracle::EndState;
-use crate::policy::{
-    chooser_of, exploration_policy, Baseline, Pct, RandomWalk, Recorder, Replay, SchedulePolicy,
-};
+use crate::policy::{chooser_of, Baseline, Pct, RandomWalk, Recorder, Replay, SchedulePolicy};
 use crate::scenario::{FaultSpec, RunOptions, RunOutcome, Scenario};
 use crate::schedule::Schedule;
 use k2::system::SystemSnapshot;
@@ -77,32 +76,6 @@ pub struct Failure {
     pub detail: String,
     /// Which policy found it.
     pub policy: &'static str,
-}
-
-/// Aggregate result of one exploration campaign.
-pub struct ExplorationReport {
-    /// The scenario explored.
-    pub scenario: Scenario,
-    /// Total runs, including the baseline.
-    pub runs: u32,
-    /// Distinct decision traces observed.
-    pub distinct_schedules: usize,
-    /// Choice points hit across all runs.
-    pub total_choice_points: u64,
-    /// Every oracle violation found, in run-index order.
-    pub failures: Vec<Failure>,
-    /// The baseline run's end state (the differential reference).
-    pub baseline_end_state: EndState,
-    /// Worker threads the campaign actually used (1 = serial). Changing
-    /// this never changes any other field.
-    pub threads: usize,
-}
-
-impl ExplorationReport {
-    /// The first failure, if exploration found any.
-    pub fn first_failure(&self) -> Option<&Failure> {
-        self.failures.first()
-    }
 }
 
 /// Boots `scenario` and runs it under `policy` with the full report,
@@ -162,10 +135,11 @@ fn classify(out: &RunOutcome, reference: Option<&EndState>) -> Option<(FailureKi
     None
 }
 
-/// The PR-4 parallel fan-out discipline, shared by the [`Explorer`] and
-/// [`Campaign`]: workers claim indices `0..count` from an atomic
-/// counter, run the (index-pure) job, and park results in per-index
-/// slots; the returned vector is strictly index-ordered. The result is
+/// The parallel fan-out discipline shared by [`Campaign`]s, the
+/// conformance matrix and `k2-perf fork`: workers claim indices
+/// `0..count` from an atomic counter, run the (index-pure) job, and
+/// park results in per-index slots; the returned vector is strictly
+/// index-ordered. The result is
 /// therefore independent of the worker count, including 1 (which runs
 /// inline without spawning).
 pub fn fan_out<T: Send>(count: u32, workers: usize, job: impl Fn(u32) -> T + Sync) -> Vec<T> {
@@ -208,154 +182,6 @@ pub(crate) fn resolve_workers(configured: usize, cap: u32) -> usize {
             .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
     };
     n.min(cap.max(1) as usize)
-}
-
-/// Everything one perturbed run contributes to the campaign report.
-/// Workers produce these; the merge consumes them in index order.
-struct PerRun {
-    schedule: Schedule,
-    choice_points: u64,
-    policy: &'static str,
-    failure: Option<(FailureKind, String)>,
-}
-
-/// Executes perturbed run `index` of the campaign by forking the
-/// coordinator's frozen boot image. Pure in `(scenario, spec, seed,
-/// index, reference, snap)` — thread- and order-independent.
-fn perturbed_run(
-    scenario: Scenario,
-    spec: &FaultSpec,
-    seed: u64,
-    index: u32,
-    reference: Option<&EndState>,
-    snap: &SystemSnapshot,
-) -> PerRun {
-    let policy = exploration_policy(seed, index);
-    let policy_name = policy.name();
-    let recorder = Recorder::new();
-    let chooser = recorder.chooser(policy);
-    let outcome = scenario.run_forked(snap, spec, Some(chooser), RunOptions::lite());
-    let schedule = recorder.schedule();
-    PerRun {
-        schedule: schedule.trimmed(),
-        choice_points: outcome.choice_points,
-        policy: policy_name,
-        failure: classify(&outcome, reference),
-    }
-}
-
-/// A bounded exploration campaign over one scenario.
-pub struct Explorer {
-    scenario: Scenario,
-    spec: FaultSpec,
-    seed: u64,
-    budget: u32,
-    threads: usize,
-}
-
-impl Explorer {
-    /// An explorer with the fault-free spec, a default budget of 120
-    /// perturbed runs, and automatic thread-count selection.
-    pub fn new(scenario: Scenario, seed: u64) -> Self {
-        Explorer {
-            scenario,
-            spec: FaultSpec::none(),
-            seed,
-            budget: 120,
-            threads: 0,
-        }
-    }
-
-    /// Sets the fault envelope. With active faults the end-state oracle
-    /// is disabled (fault dice are consumed in schedule order, so benign
-    /// divergence is expected); conservation and the invariant audit
-    /// still apply to every run.
-    pub fn spec(mut self, spec: FaultSpec) -> Self {
-        self.spec = spec;
-        self
-    }
-
-    /// Sets how many perturbed runs to spend.
-    pub fn budget(mut self, runs: u32) -> Self {
-        self.budget = runs;
-        self
-    }
-
-    /// Sets the worker-thread count. `0` (the default) means automatic:
-    /// the `K2CHECK_THREADS` environment variable if set and nonzero,
-    /// otherwise the host's available parallelism. The campaign's result
-    /// is byte-identical for every thread count.
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
-        self
-    }
-
-    /// The worker count [`Explorer::run`] will actually use.
-    fn worker_count(&self) -> usize {
-        resolve_workers(self.threads, self.budget)
-    }
-
-    /// Runs the campaign.
-    ///
-    /// The system boots exactly once: the coordinator freezes the
-    /// post-boot image, the baseline executes first on the calling
-    /// thread as a fork of it (it is the differential reference for
-    /// everything else), and the perturbed budget then fans out across
-    /// the worker pool, each run forking the same frozen image.
-    /// Aggregation walks the per-index results in index order, so the
-    /// report — including which failure is "first" — matches a serial
-    /// run exactly.
-    pub fn run(&self) -> ExplorationReport {
-        let snap = Scenario::boot_snapshot();
-        let recorder = Recorder::new();
-        let chooser = recorder.chooser(Box::new(Baseline));
-        let baseline =
-            self.scenario
-                .run_forked(&snap, &self.spec, Some(chooser), RunOptions::lite());
-        let baseline_schedule = recorder.schedule();
-        let mut distinct: HashSet<Schedule> = HashSet::new();
-        distinct.insert(baseline_schedule.trimmed());
-        let mut total_choice_points = baseline.choice_points;
-        let mut failures = Vec::new();
-        if let Some((kind, detail)) = classify(&baseline, None) {
-            failures.push(Failure {
-                schedule: Schedule::baseline(),
-                kind,
-                detail,
-                policy: "baseline",
-            });
-        }
-        let differential = self.spec.is_nop();
-        let reference = differential.then_some(&baseline.end_state);
-        let workers = self.worker_count();
-
-        let per_run: Vec<PerRun> = fan_out(self.budget, workers, |i| {
-            perturbed_run(self.scenario, &self.spec, self.seed, i, reference, &snap)
-        });
-
-        for run in per_run {
-            total_choice_points += run.choice_points;
-            distinct.insert(run.schedule.clone());
-            if let Some((kind, detail)) = run.failure {
-                failures.push(Failure {
-                    schedule: run.schedule,
-                    kind,
-                    detail,
-                    policy: run.policy,
-                });
-            }
-        }
-
-        ExplorationReport {
-            scenario: self.scenario,
-            runs: self.budget + 1,
-            distinct_schedules: distinct.len(),
-            total_choice_points,
-            failures,
-            baseline_end_state: baseline.end_state,
-            threads: workers,
-        }
-    }
 }
 
 /// How a [`Campaign`] chooses its schedules.
@@ -438,7 +264,7 @@ enum Arm {
 /// `{baseline sites} ∪ {one deviation}` have probability ≈ 0 under any
 /// walk, making them a coverage subspace random sampling never reaches
 /// no matter the budget. Enumerating that subspace directly is the
-/// delay-bounded insight applied to coverage: each frontier schedule is
+/// delay-bounding insight applied to coverage: each frontier schedule is
 /// new *by construction* (no two singles or unordered doubles replay the
 /// same trace), and each either mints a new site `(class, arity, d)` or
 /// a new cascade (a deviation reorders downstream co-enabled sets and
@@ -690,9 +516,9 @@ impl CampaignReport {
 
 /// A budgeted search campaign over one scenario under one [`Strategy`].
 ///
-/// Where the [`Explorer`] answers "does any schedule break an oracle",
-/// a campaign also measures *how much of the schedule space* a strategy
-/// covers per run of budget — the metric the coverage-guided loop is
+/// A campaign answers "does any schedule break an oracle" and also
+/// measures *how much of the schedule space* a strategy covers per run
+/// of budget — the metric the coverage-guided loop is
 /// built to move. Runs execute in planning generations of
 /// [`GENERATION`]: the coordinator derives every plan in a generation
 /// from the corpus frozen at its start (mutation happens here, not on
@@ -724,8 +550,10 @@ impl Campaign {
         }
     }
 
-    /// Sets the fault envelope (disables the end-state oracle when any
-    /// knob is active, exactly like [`Explorer::spec`]).
+    /// Sets the fault envelope. With active faults the end-state oracle
+    /// is disabled (fault dice are consumed in schedule order, so benign
+    /// divergence is expected); conservation and the invariant audit
+    /// still apply to every run.
     pub fn spec(mut self, spec: FaultSpec) -> Self {
         self.spec = spec;
         self
@@ -737,8 +565,10 @@ impl Campaign {
         self
     }
 
-    /// Sets the worker-thread count (0 = automatic, as
-    /// [`Explorer::threads`]).
+    /// Sets the worker-thread count. `0` (the default) means automatic:
+    /// the `K2CHECK_THREADS` environment variable if set and nonzero,
+    /// otherwise the host's available parallelism. The campaign's report
+    /// is byte-identical for every thread count.
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = threads;
         self

@@ -9,7 +9,7 @@
 //! loom/shuttle but at the whole-SoC level:
 //!
 //! * **Policies** ([`policy`]) decide each co-enabled ordering: seeded
-//!   random walks, delay-bounded searches, and exact replay.
+//!   random walks, PCT priority schedules, and exact replay.
 //! * **Schedules** ([`schedule`]) are the recorded decision traces —
 //!   compact `k2s1-…` tokens that reproduce a run bit for bit.
 //! * **Scenarios** ([`scenario`]) name the cross-domain workloads the
@@ -17,9 +17,9 @@
 //! * **Oracles** ([`oracle`]) say what must hold on *every* schedule:
 //!   counter conservation and (for fault-free runs) end-state
 //!   equivalence against the baseline ordering.
-//! * The **explorer** ([`explorer`]) spends a run budget searching for
-//!   violations; the **shrinker** ([`shrink`]) minimizes what it finds;
-//!   and [`repro`] emits the minimized failure as a self-contained
+//! * The **explorer** ([`explorer`]) runs [`Campaign`]s that spend a run
+//!   budget searching for violations; the **shrinker** ([`shrink`])
+//!   minimizes what it finds; and [`repro`] emits the minimized failure as a self-contained
 //!   `#[test]` under `tests/repros/`.
 //!
 //! The soundness contract inherited from `k2-sim`: a chooser only
@@ -50,8 +50,7 @@ pub mod shrink;
 pub use corpus::Corpus;
 pub use dsl::{CompiledScenario, DslError, FleetDef, ScenarioDef};
 pub use explorer::{
-    check_failure, fan_out, run_recorded, Campaign, CampaignReport, ExplorationReport, Explorer,
-    Failure, FailureKind, Strategy,
+    check_failure, fan_out, run_recorded, Campaign, CampaignReport, Failure, FailureKind, Strategy,
 };
 pub use fingerprint::{schedule_fingerprint, span_shape_hash};
 pub use fleet::{
@@ -61,10 +60,7 @@ pub use fleet::{
 pub use matrix::{MatrixOutcome, MatrixSpec};
 pub use mutate::{Mutation, Mutator, MAX_DECISION, MAX_LEN};
 pub use oracle::{capture_end_state, check_conservation, EndState};
-pub use policy::{
-    chooser_of, exploration_policy, Baseline, DelayBounded, Pct, RandomWalk, Recorder, Replay,
-    SchedulePolicy,
-};
+pub use policy::{chooser_of, Baseline, Pct, RandomWalk, Recorder, Replay, SchedulePolicy};
 pub use scenario::{FaultSpec, RunOptions, RunOutcome, Scenario};
 pub use schedule::{Schedule, TokenError};
 pub use shrink::{shrink, ShrinkResult};

@@ -21,6 +21,7 @@ use crate::dsl::{builtin, CompiledScenario, ScenarioDef};
 use crate::explorer::{fan_out, resolve_workers};
 use crate::policy::{chooser_of, RandomWalk};
 use crate::scenario::{RunOptions, RunOutcome, Scenario};
+use k2_sim::digest::Fnv64;
 use k2_sim::explore::ScheduleChooser;
 use k2_sim::json::JsonWriter;
 use std::fmt::Write as _;
@@ -222,7 +223,7 @@ impl MatrixSpec {
     }
 
     /// The grid scenarios of `defs`, compiled, paired with their defs.
-    fn compiled(&self) -> Vec<(ScenarioDef, CompiledScenario)> {
+    fn compiled(&self) -> Vec<(&ScenarioDef, CompiledScenario)> {
         self.defs
             .iter()
             .filter(|d| !d.is_eval() && !d.is_fleet())
@@ -230,34 +231,34 @@ impl MatrixSpec {
                 let c = d
                     .compile()
                     .unwrap_or_else(|e| panic!("scenario `{}` failed to compile: {e}", d.name));
-                (d.clone(), c)
+                (d, c)
             })
             .collect()
     }
 
-    /// Enumerates every cell coordinate in canonical order: scenario,
-    /// then seed, then preset, then chooser, then sink — the index order
-    /// the merge and the digest are defined over.
-    pub fn cells(&self) -> Vec<CellCoord> {
+    /// Enumerates every cell of `compiled` in canonical order, each
+    /// paired with the index of its scenario in `compiled`.
+    fn expand(&self, compiled: &[(&ScenarioDef, CompiledScenario)]) -> Vec<(usize, CellCoord)> {
+        let mut choosers = vec![ChooserKind::Baseline];
+        choosers.extend((1..=self.walks).map(ChooserKind::Walk));
+        let mut sinks = vec![SinkKind::Full];
+        if self.lite {
+            sinks.push(SinkKind::Lite);
+        }
         let mut out = Vec::new();
-        for (def, _) in self.compiled() {
+        for (k, (def, _)) in compiled.iter().enumerate() {
             for &seed in &self.seeds {
                 for preset in def.preset_names() {
-                    let mut choosers = vec![ChooserKind::Baseline];
-                    choosers.extend((1..=self.walks).map(ChooserKind::Walk));
-                    for chooser in choosers {
-                        let mut sinks = vec![SinkKind::Full];
-                        if self.lite {
-                            sinks.push(SinkKind::Lite);
-                        }
-                        for sink in sinks {
-                            out.push(CellCoord {
+                    for chooser in &choosers {
+                        for &sink in &sinks {
+                            let coord = CellCoord {
                                 scenario: def.name.clone(),
                                 seed,
                                 preset: preset.clone(),
                                 chooser: chooser.clone(),
                                 sink,
-                            });
+                            };
+                            out.push((k, coord));
                         }
                     }
                 }
@@ -266,20 +267,25 @@ impl MatrixSpec {
         out
     }
 
+    /// Enumerates every cell coordinate in canonical order: scenario,
+    /// then seed, then preset, then chooser, then sink — the index order
+    /// the merge and the digest are defined over.
+    pub fn cells(&self) -> Vec<CellCoord> {
+        let compiled = self.compiled();
+        self.expand(&compiled).into_iter().map(|(_, c)| c).collect()
+    }
+
     /// Expands the whole matrix: boots one system image, forks it per
     /// cell across the worker pool, and merges outcomes in strict index
     /// order. Byte-identical (digest and all) at any worker count.
     pub fn run(&self) -> MatrixOutcome {
         let compiled = self.compiled();
-        let coords = self.cells();
+        let coords = self.expand(&compiled);
         let snap = Scenario::boot_snapshot();
         let workers = resolve_workers(self.workers, coords.len() as u32);
         let cells = fan_out(coords.len() as u32, workers, |i| {
-            let coord = &coords[i as usize];
-            let (def, scenario) = compiled
-                .iter()
-                .find(|(d, _)| d.name == coord.scenario)
-                .expect("coordinate names an expanded scenario");
+            let (k, coord) = &coords[i as usize];
+            let (def, scenario) = &compiled[*k];
             run_cell_at(def, scenario, coord, &snap)
         });
         let digest = digest(&cells);
@@ -295,9 +301,12 @@ impl MatrixSpec {
     /// booting a fresh image. Reproduces the full-matrix cell byte for
     /// byte; `None` when the id names no cell of this matrix.
     pub fn run_cell(&self, id: &str) -> Option<CellOutcome> {
-        let coord = self.cells().into_iter().find(|c| c.id() == id)?;
         let compiled = self.compiled();
-        let (def, scenario) = compiled.iter().find(|(d, _)| d.name == coord.scenario)?;
+        let (k, coord) = self
+            .expand(&compiled)
+            .into_iter()
+            .find(|(_, c)| c.id() == id)?;
+        let (def, scenario) = &compiled[k];
         let snap = Scenario::boot_snapshot();
         Some(run_cell_at(def, scenario, &coord, &snap))
     }
@@ -339,7 +348,7 @@ fn run_cell_at(
     CellOutcome {
         coord: coord.clone(),
         end_fp: out.end_state.fingerprint(),
-        report_fp: fnv1a(out.report_json.as_bytes()),
+        report_fp: Fnv64::new().bytes(out.report_json.as_bytes()).finish(),
         events: out.events,
         choice_points: out.choice_points,
         conservation: out.conservation,
@@ -521,25 +530,11 @@ impl MatrixOutcome {
 
 /// FNV-1a over the cells' canonical summary lines, in index order.
 fn digest(cells: &[CellOutcome]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let mut h = Fnv64::new();
     for c in cells {
-        for b in c.summary_line().as_bytes() {
-            h ^= u64::from(*b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        h ^= u64::from(b'\n');
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        h.bytes(c.summary_line().as_bytes()).bytes(b"\n");
     }
-    h
-}
-
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in bytes {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    h.finish()
 }
 
 #[cfg(test)]
@@ -581,7 +576,7 @@ mod tests {
             assert_eq!(pair[1].coord.sink, SinkKind::Lite);
             assert_eq!(pair[0].end_fp, pair[1].end_fp, "{}", pair[0].coord.id());
             assert_ne!(pair[0].report_fp, 0);
-            assert_eq!(pair[1].report_fp, fnv1a(b""));
+            assert_eq!(pair[1].report_fp, Fnv64::new().finish());
         }
     }
 }

@@ -68,44 +68,6 @@ impl SchedulePolicy for RandomWalk {
     }
 }
 
-/// Delay-bounded exploration: deviates from the baseline ordering at most
-/// `budget` times per run, choosing deviation sites at random. Low bounds
-/// concentrate the search on few-preemption schedules, where most real
-/// ordering bugs live (the classic delay-bounding result), and they keep
-/// shrunken repros short.
-pub struct DelayBounded {
-    rng: SimRng,
-    budget: u32,
-    spent: u32,
-}
-
-impl DelayBounded {
-    /// A policy that deviates at most `budget` times.
-    pub fn new(seed: u64, stream: u64, budget: u32) -> Self {
-        DelayBounded {
-            rng: SimRng::seed_from_stream(seed, stream),
-            budget,
-            spent: 0,
-        }
-    }
-}
-
-impl SchedulePolicy for DelayBounded {
-    fn choose(&mut self, cp: &ChoicePoint<'_>) -> u32 {
-        if self.spent >= self.budget || !self.rng.gen_bool(0.25) {
-            return 0;
-        }
-        let n = cp.classes.len() as u64;
-        let d = 1 + self.rng.gen_range(n - 1);
-        self.spent += 1;
-        d as u32
-    }
-
-    fn name(&self) -> &'static str {
-        "delay-bounded"
-    }
-}
-
 /// PCT-style priority scheduling over event *classes* (the analogue of
 /// the probabilistic concurrency-testing scheduler, which runs the
 /// highest-priority runnable thread and demotes it at `d` random change
@@ -250,21 +212,6 @@ impl SchedulePolicy for Replay {
     }
 }
 
-/// The policy an exploration campaign assigns to perturbed run `index`:
-/// even indices take a seeded random walk, odd indices a delay-bounded
-/// search (budget 4). The RNG stream is a pure function of `(seed,
-/// index)`, so run `index` is the same run no matter which worker thread
-/// executes it or in what order — the property the parallel explorer's
-/// determinism rests on.
-pub fn exploration_policy(seed: u64, index: u32) -> Box<dyn SchedulePolicy> {
-    let stream = 1_000 + u64::from(index);
-    if index.is_multiple_of(2) {
-        Box::new(RandomWalk::new(seed, stream))
-    } else {
-        Box::new(DelayBounded::new(seed, stream, 4))
-    }
-}
-
 /// Wraps a policy into a machine chooser, clamping out-of-range answers.
 pub fn chooser_of(mut policy: Box<dyn SchedulePolicy>) -> ScheduleChooser {
     Box::new(move |cp: &ChoicePoint<'_>| {
@@ -399,14 +346,5 @@ mod tests {
             rec.class_trace(),
             vec![(EventClass::Irq, 2), (EventClass::Mail, 2)]
         );
-    }
-
-    #[test]
-    fn delay_bounded_respects_its_budget() {
-        let classes = [EventClass::Step, EventClass::Step];
-        let mut p = DelayBounded::new(9, 0, 3);
-        let deviations: u32 = (0..256).map(|_| p.choose(&cp(&classes))).sum();
-        assert!(deviations <= 3, "spent {deviations} of a budget of 3");
-        assert!(deviations > 0, "a 256-point run should spend the budget");
     }
 }

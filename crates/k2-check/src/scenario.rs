@@ -129,9 +129,9 @@ impl RunOptions {
 
     /// No report, disabled span sink. The oracles never read the report
     /// or the spans, and both are pure observation — recording never
-    /// perturbs event timing — so exploration campaigns, which execute
-    /// hundreds of runs and only ever classify their outcomes, use this
-    /// preset. `report_json` comes back empty.
+    /// perturbs event timing — so runs that only classify their outcomes
+    /// (the matrix's lite cells, `k2-perf fork`) use this preset.
+    /// `report_json` comes back empty.
     pub fn lite() -> Self {
         RunOptions {
             render_report: false,

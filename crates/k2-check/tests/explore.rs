@@ -4,8 +4,8 @@
 //! `K2CHECK_SEED` so CI can sweep seeds without recompiling.
 
 use k2_check::{
-    check_failure, chooser_of, repro, run_recorded, shrink, Baseline, Campaign, Explorer,
-    FailureKind, FaultSpec, RandomWalk, Replay, RunOptions, Scenario, Schedule, Strategy,
+    check_failure, chooser_of, repro, run_recorded, shrink, Baseline, Campaign, FailureKind,
+    FaultSpec, RandomWalk, Replay, RunOptions, Scenario, Schedule, Strategy,
 };
 
 fn budget() -> u32 {
@@ -28,7 +28,9 @@ fn seed() -> u64 {
 #[test]
 fn fault_free_scenarios_are_schedule_invariant_across_100_plus_schedules() {
     for scenario in Scenario::WELL_BEHAVED {
-        let report = Explorer::new(scenario, seed()).budget(budget()).run();
+        let report = Campaign::new(scenario, Strategy::Random, seed())
+            .budget(budget())
+            .run();
         assert!(
             report.failures.is_empty(),
             "{}: {} oracle violations, first: {} ({}) on {}",
@@ -63,7 +65,7 @@ fn conservation_holds_under_faults_on_every_schedule() {
         dma_partial: 0.10,
     };
     for scenario in [Scenario::UdpCrossTraffic, Scenario::DmaFanout] {
-        let report = Explorer::new(scenario, seed())
+        let report = Campaign::new(scenario, Strategy::Random, seed())
             .spec(spec)
             .budget(budget().min(40))
             .run();
@@ -83,7 +85,7 @@ fn conservation_holds_under_faults_on_every_schedule() {
 /// emitted as a self-contained test under `tests/repros/`.
 #[test]
 fn seeded_mail_race_is_caught_shrunk_and_emitted() {
-    let report = Explorer::new(Scenario::MailRace, seed())
+    let report = Campaign::new(Scenario::MailRace, Strategy::Random, seed())
         .budget(budget())
         .run();
     assert!(

@@ -1,42 +1,26 @@
 //! Thread-count invariance of the parallel explorer.
 //!
-//! PR 4's contract: an exploration campaign's observable result is a pure
-//! function of `(scenario, spec, seed, budget)` — the worker count can
-//! change only `ExplorationReport::threads` and wall-clock time. These
-//! tests run the same campaigns with 1, 2 and 8 workers and require every
-//! observable field to be identical, including the repro token of every
-//! failure the buggy scenario yields.
+//! The contract: a campaign's observable result is a pure function of
+//! `(scenario, strategy, spec, seed, budget)` — the worker count can
+//! change only `CampaignReport::threads` and wall-clock time. These
+//! tests run the same campaigns with 1, 2 and 8 workers and require the
+//! rendered report to be byte-identical, including the repro token of
+//! every failure the buggy scenario yields.
 //!
-//! Since PR 7 every campaign run is a *fork* of one coordinator-frozen
-//! post-boot snapshot rather than a fresh boot, so these tests now pin
-//! the invariance of the forked path; the fork-specific tests at the
-//! bottom additionally pin that worker forks never leak state back into
-//! the shared frozen image.
+//! Every campaign run is a *fork* of one coordinator-frozen post-boot
+//! snapshot rather than a fresh boot, so these tests pin the invariance
+//! of the forked path; the fork-specific tests at the bottom
+//! additionally pin that worker forks never leak state back into the
+//! shared frozen image.
 
-use k2_check::{Campaign, ExplorationReport, Explorer, FaultSpec, Scenario, Strategy};
+use k2_check::{Campaign, CampaignReport, FaultSpec, Scenario, Strategy};
 
 const SEED: u64 = 0xD1CE;
 const BUDGET: u32 = 24;
 
-/// Everything a campaign reports, minus `threads` and the end state's
-/// identity (compared separately), flattened for an exact comparison.
-fn observables(r: &ExplorationReport) -> (u32, usize, u64, Vec<(String, String, String)>) {
-    let failures = r
-        .failures
-        .iter()
-        .map(|f| (f.schedule.token(), f.kind.to_string(), f.policy.to_string()))
-        .collect();
-    (
-        r.runs,
-        r.distinct_schedules,
-        r.total_choice_points,
-        failures,
-    )
-}
-
-fn campaign(scenario: Scenario, spec: FaultSpec, threads: usize) -> ExplorationReport {
-    Explorer::new(scenario, SEED)
-        .spec(spec)
+/// A fault-free random-walk campaign at `threads` workers.
+fn campaign(scenario: Scenario, threads: usize) -> CampaignReport {
+    Campaign::new(scenario, Strategy::Random, SEED)
         .budget(BUDGET)
         .threads(threads)
         .run()
@@ -47,22 +31,13 @@ fn campaign(scenario: Scenario, spec: FaultSpec, threads: usize) -> ExplorationR
 #[test]
 fn exploration_is_thread_count_invariant() {
     for scenario in Scenario::ALL {
-        let serial = campaign(scenario, FaultSpec::none(), 1);
+        let serial = campaign(scenario, 1);
         assert_eq!(serial.threads, 1);
         for workers in [2, 8] {
-            let parallel = campaign(scenario, FaultSpec::none(), workers);
             assert_eq!(
-                observables(&serial),
-                observables(&parallel),
+                serial.render_json(),
+                campaign(scenario, workers).render_json(),
                 "{} diverged at {workers} workers",
-                scenario.name()
-            );
-            assert!(
-                serial
-                    .baseline_end_state
-                    .diff(&parallel.baseline_end_state)
-                    .is_empty(),
-                "{} baseline end state diverged at {workers} workers",
                 scenario.name()
             );
         }
@@ -73,15 +48,16 @@ fn exploration_is_thread_count_invariant() {
 /// same repro trace token — no matter how many workers hunt for it.
 #[test]
 fn first_failure_selection_is_deterministic_across_workers() {
-    let serial = campaign(Scenario::MailRace, FaultSpec::none(), 1);
+    let serial = campaign(Scenario::MailRace, 1);
     let first = serial
         .first_failure()
         .expect("the seeded mail race must be found");
     for workers in [2, 8] {
-        let parallel = campaign(Scenario::MailRace, FaultSpec::none(), workers);
+        let parallel = campaign(Scenario::MailRace, workers);
         let pfirst = parallel
             .first_failure()
             .expect("parallel campaign must find the race too");
+        assert_eq!(serial.first_failure_run, parallel.first_failure_run);
         assert_eq!(first.schedule.token(), pfirst.schedule.token());
         assert_eq!(first.kind, pfirst.kind);
         assert_eq!(first.policy, pfirst.policy);
@@ -132,10 +108,10 @@ fn campaign_reports_and_corpus_digests_are_worker_count_invariant() {
 /// the resolved count is reported — and still changes nothing observable.
 #[test]
 fn automatic_thread_selection_reports_and_matches_serial() {
-    let auto = campaign(Scenario::UdpCrossTraffic, FaultSpec::none(), 0);
+    let auto = campaign(Scenario::UdpCrossTraffic, 0);
     assert!(auto.threads >= 1, "auto selection must resolve to >= 1");
-    let serial = campaign(Scenario::UdpCrossTraffic, FaultSpec::none(), 1);
-    assert_eq!(observables(&serial), observables(&auto));
+    let serial = campaign(Scenario::UdpCrossTraffic, 1);
+    assert_eq!(serial.render_json(), auto.render_json());
 }
 
 /// Eight workers forking one shared frozen image leave the image bit-

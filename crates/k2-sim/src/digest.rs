@@ -114,4 +114,12 @@ mod tests {
         b.str("a").str("bc");
         assert_ne!(a.finish(), b.finish());
     }
+
+    #[test]
+    fn fnv_is_order_sensitive_and_stable() {
+        let h1 = Fnv64::new().bytes(b"abc").finish();
+        assert_ne!(h1, Fnv64::new().bytes(b"acb").finish());
+        // Chunked hashing equals whole-buffer hashing.
+        assert_eq!(h1, Fnv64::new().bytes(b"ab").bytes(b"c").finish());
+    }
 }
