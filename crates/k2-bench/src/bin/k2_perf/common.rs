@@ -7,17 +7,24 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
-/// Counts every heap allocation so allocation churn is a measured
-/// number, not a claim. It lives in this binary only: other harnesses
-/// link the `k2-bench` library, and a global allocator there would
-/// change what they measure.
+/// Counts every heap allocation, and the bytes it asked for, so
+/// allocation churn and footprint are measured numbers, not claims. It
+/// lives in this binary only: other harnesses link the `k2-bench`
+/// library, and a global allocator there would change what they
+/// measure.
 struct CountingAlloc;
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+static ALLOCATED_BYTES: AtomicU64 = AtomicU64::new(0);
+
+fn count(bytes: usize) {
+    ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+    ALLOCATED_BYTES.fetch_add(bytes as u64, Ordering::Relaxed);
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count(layout.size());
         System.alloc(layout)
     }
 
@@ -26,7 +33,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count(new_size);
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -37,6 +44,12 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 /// Heap allocations (and reallocations) since the process started.
 pub fn allocations() -> u64 {
     ALLOCATIONS.load(Ordering::Relaxed)
+}
+
+/// Bytes requested by those allocations (a reallocation counts its new
+/// size), never reduced by frees.
+pub fn allocated_bytes() -> u64 {
+    ALLOCATED_BYTES.load(Ordering::Relaxed)
 }
 
 /// The host's available parallelism (1 when it cannot be queried).

@@ -14,10 +14,15 @@
 //!
 //! The gate is the serial fork-vs-reboot throughput ratio
 //! `fork_speedup_serial` at −15%: a ratio of two same-host measurements,
-//! so it transfers across runner hardware.
+//! so it transfers across runner hardware. The section also asserts the
+//! fork footprint: the heap bytes one fork requests, from the explorer's
+//! boot image and from the fleet's warmed image, must stay within
+//! [`FORK_BYTES_MAX`]. That is a count, not a rate, so it holds on any
+//! host.
 
-use crate::common::{allocations, document, host_parallelism, median_of, Fields};
+use crate::common::{allocated_bytes, allocations, document, host_parallelism, median_of, Fields};
 use k2::system::{K2System, SystemConfig, SystemSnapshot};
+use k2_check::fleet::warmed_snapshot;
 use k2_check::{chooser_of, fan_out, FaultSpec, RandomWalk, RunOptions, Scenario};
 use k2_sim::digest::Fnv64;
 use std::time::Instant;
@@ -25,6 +30,27 @@ use std::time::Instant;
 const SEED: u64 = 2_014;
 const BUDGET: u32 = 96;
 const WORKERS: [usize; 3] = [1, 2, 8];
+
+/// The most heap bytes one fork may request. A fork shares the frozen
+/// image copy-on-write (memory, ramdisk blocks and the ramdisk's 64 KB
+/// block table), so it allocates only per-machine bookkeeping; a
+/// deep-copied image or block table breaks this bound at once.
+const FORK_BYTES_MAX: u64 = 16 * 1024;
+
+/// Heap bytes requested by the costliest of 16 forks of `snap`. Each
+/// fork is dropped outside its measured window.
+fn max_fork_bytes(snap: &SystemSnapshot) -> u64 {
+    (0..16)
+        .map(|_| {
+            let before = allocated_bytes();
+            let fork = K2System::fork(snap);
+            let bytes = allocated_bytes() - before;
+            drop(fork);
+            bytes
+        })
+        .max()
+        .expect("forked")
+}
 
 /// One exploration run: seeded random walk, lite observability — the
 /// same shape as a campaign worker's run. Returns a fingerprint of the
@@ -104,6 +130,16 @@ pub fn run() -> String {
     let fork_us = median_of(501, || K2System::fork(&snap)) * 1e6;
     let freeze_us = median_of(501, Scenario::boot_snapshot) * 1e6;
     eprintln!("  boot {boot_us:.2} us   fork {fork_us:.2} us   freeze {freeze_us:.2} us");
+    let fork_bytes = max_fork_bytes(&snap);
+    let fleet_fork_bytes = max_fork_bytes(&warmed_snapshot());
+    eprintln!("  fork footprint {fork_bytes} B (boot image), {fleet_fork_bytes} B (fleet image)");
+    for (image, bytes) in [("boot", fork_bytes), ("fleet", fleet_fork_bytes)] {
+        assert!(
+            bytes <= FORK_BYTES_MAX,
+            "a fork of the {image} image requested {bytes} heap bytes, over the \
+             {FORK_BYTES_MAX}-byte bound: is part of the image deep-copied again?"
+        );
+    }
 
     eprintln!("campaign bench (budget {BUDGET}, workers {WORKERS:?})...");
     let results: Vec<_> = Scenario::ALL
@@ -138,6 +174,8 @@ pub fn run() -> String {
             w.num("boot_us", boot_us);
             w.num("fork_us", fork_us);
             w.num("freeze_us", freeze_us);
+            w.int("fork_bytes", fork_bytes);
+            w.int("fleet_fork_bytes", fleet_fork_bytes);
         });
         w.key("scenarios");
         w.begin_array();

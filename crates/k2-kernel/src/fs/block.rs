@@ -42,13 +42,20 @@ pub trait BlockDevice {
 
 /// A RAM-backed block device: CPU copy cost, no I/O latency.
 ///
-/// Resident blocks are held behind `Arc` so cloning the disk — the bulk
-/// of a [snapshot fork](https://en.wikipedia.org/wiki/Copy-on-write) —
-/// shares every block instead of deep-copying the image; a write to a
-/// shared block copies just that 4 KB block first (`Arc::make_mut`).
+/// Copy-on-write at two levels, so cloning the disk — part of every
+/// [snapshot fork](https://en.wikipedia.org/wiki/Copy-on-write) — is one
+/// reference-count bump whatever the disk's size:
+///
+/// * the block table (8 bytes per block, 64 KB for the default image)
+///   sits behind one `Arc`, copied by the first write after a clone;
+/// * each resident block sits behind its own `Arc`, so that table copy
+///   shares every block, and a write to a shared block copies just that
+///   4 KB block first.
+///
+/// A fork that never writes its filesystem copies none of the disk.
 #[derive(Clone, Debug)]
 pub struct RamDisk {
-    blocks: Vec<Option<Arc<[u8; BLOCK_SIZE]>>>,
+    blocks: Arc<Vec<Option<Arc<[u8; BLOCK_SIZE]>>>>,
     reads: u64,
     writes: u64,
 }
@@ -57,7 +64,7 @@ impl RamDisk {
     /// Creates a zeroed ramdisk of `blocks` blocks.
     pub fn new(blocks: u64) -> Self {
         RamDisk {
-            blocks: (0..blocks).map(|_| None).collect(),
+            blocks: Arc::new((0..blocks).map(|_| None).collect()),
             reads: 0,
             writes: 0,
         }
@@ -93,7 +100,7 @@ impl BlockDevice for RamDisk {
     fn write_block(&mut self, n: u64, buf: &[u8]) -> Cost {
         assert_eq!(buf.len(), BLOCK_SIZE, "short buffer");
         self.writes += 1;
-        let slot = &mut self.blocks[n as usize];
+        let slot = &mut Arc::make_mut(&mut self.blocks)[n as usize];
         match slot {
             Some(b) => Arc::make_mut(b).copy_from_slice(buf),
             None => {
@@ -209,6 +216,27 @@ mod tests {
         let mut out = [1u8; BLOCK_SIZE];
         d.read_block(0, &mut out);
         assert!(out.iter().all(|&b| b == 0));
+    }
+
+    #[test]
+    fn clones_are_isolated_copy_on_write() {
+        let read = |d: &RamDisk, n: u64| {
+            let mut out = [0u8; BLOCK_SIZE];
+            d.read_block(n, &mut out);
+            out[0]
+        };
+        let mut orig = RamDisk::new(4);
+        orig.write_block(0, &[1u8; BLOCK_SIZE]);
+        let mut clone = orig.clone();
+        // Block 0 was resident before the clone; block 1 was not.
+        clone.write_block(0, &[2u8; BLOCK_SIZE]);
+        clone.write_block(1, &[3u8; BLOCK_SIZE]);
+        assert_eq!((read(&orig, 0), read(&orig, 1)), (1, 0));
+        assert_eq!((read(&clone, 0), read(&clone, 1)), (2, 3));
+        orig.write_block(0, &[4u8; BLOCK_SIZE]);
+        orig.write_block(2, &[5u8; BLOCK_SIZE]);
+        assert_eq!((read(&clone, 0), read(&clone, 2)), (2, 0));
+        assert_eq!((read(&orig, 0), read(&orig, 2)), (4, 5));
     }
 
     #[test]

@@ -1552,16 +1552,30 @@ impl<W> Machine<W> {
 
     /// Energy consumed by a domain so far, in millijoules.
     pub fn domain_energy_mj(&self, dom: DomainId) -> f64 {
+        self.domain_energy_mj_at(dom, self.now)
+    }
+
+    fn domain_energy_mj_at(&self, dom: DomainId, at: SimTime) -> f64 {
         self.domain_cores(dom)
             .iter()
-            .map(|&c| self.cores[c.index()].meter.energy_mj_at(self.now))
+            .map(|&c| self.cores[c.index()].meter.energy_mj_at(at))
             .sum()
     }
 
     /// Energy consumed by every domain, in millijoules.
     pub fn total_energy_mj(&self) -> f64 {
+        self.total_energy_mj_at(self.now)
+    }
+
+    /// [`Machine::total_energy_mj`] as it will read once the clock
+    /// reaches `at`, provided no event fires before then: every core
+    /// keeps its power state, so each meter extends linearly. Bit-equal
+    /// to advancing the clock and asking — the same domain-ordered sum
+    /// over the same per-core terms — which lets a driver account an
+    /// idle machine without running it.
+    pub fn total_energy_mj_at(&self, at: SimTime) -> f64 {
         (0..self.domain_count())
-            .map(|d| self.domain_energy_mj(DomainId(d as u8)))
+            .map(|d| self.domain_energy_mj_at(DomainId(d as u8), at))
             .sum()
     }
 
@@ -1956,6 +1970,14 @@ impl<W> Machine<W> {
         }
         self.final_audit(w);
         self.now
+    }
+
+    /// When the next live event fires, if any is queued. A driver may
+    /// leave a machine whose next event lies beyond its horizon
+    /// un-run: with auditing off, `run_until` over an event-free
+    /// interval only moves the clock.
+    pub fn next_event_time(&mut self) -> Option<SimTime> {
+        self.queue.peek_time()
     }
 
     /// Processes every event up to and including `until`, then advances the
@@ -3033,6 +3055,64 @@ mod tests {
         assert_eq!(m.now(), SimTime::ZERO + SimDuration::from_ms(5));
         m.run_until_idle(&mut w);
         assert_eq!(m.completed_tasks(), 1);
+    }
+
+    /// A machine parked in a 10 ms sleep after 1 ms of work, with no
+    /// event between 1 ms and 11 ms.
+    fn sleeper_at_1ms(audit: bool) -> (M, World) {
+        let mut w = World::default();
+        let mut m = machine();
+        if audit {
+            m.enable_audit(1);
+        }
+        m.spawn(
+            CoreId(0),
+            Script::new(
+                "sleeper",
+                vec![
+                    Step::Compute { cycles: 350_000 },
+                    Step::Sleep {
+                        dur: SimDuration::from_ms(10),
+                    },
+                ],
+            ),
+            &mut w,
+        );
+        m.run_until(SimTime::ZERO + SimDuration::from_ms(1), &mut w);
+        (m, w)
+    }
+
+    #[test]
+    fn event_free_intervals_can_be_skipped() {
+        let (t1, t2) = (
+            SimTime::ZERO + SimDuration::from_ms(4),
+            SimTime::ZERO + SimDuration::from_ms(9),
+        );
+        let (mut stepped, mut ws) = sleeper_at_1ms(false);
+        let (mut skipped, mut wk) = sleeper_at_1ms(false);
+        assert!(skipped.next_event_time().expect("wake queued") > t2);
+        stepped.run_until(t1, &mut ws);
+        stepped.run_until(t2, &mut ws);
+        // Energy accounted without running equals energy after running.
+        let predicted = skipped.total_energy_mj_at(t2);
+        skipped.run_until(t2, &mut wk);
+        assert_eq!(skipped.sim_digest(), stepped.sim_digest());
+        assert_eq!(predicted.to_bits(), skipped.total_energy_mj().to_bits());
+        assert_eq!(predicted.to_bits(), stepped.total_energy_mj().to_bits());
+        assert!(predicted > 0.0);
+    }
+
+    #[test]
+    fn auditing_makes_every_run_until_observable() {
+        // The audit count is digested, so the skip above is exact only
+        // with auditing off.
+        let t2 = SimTime::ZERO + SimDuration::from_ms(9);
+        let (mut stepped, mut ws) = sleeper_at_1ms(true);
+        let (mut skipped, mut wk) = sleeper_at_1ms(true);
+        stepped.run_until(SimTime::ZERO + SimDuration::from_ms(4), &mut ws);
+        stepped.run_until(t2, &mut ws);
+        skipped.run_until(t2, &mut wk);
+        assert_ne!(skipped.sim_digest(), stepped.sim_digest());
     }
 
     #[test]

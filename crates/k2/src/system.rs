@@ -1716,18 +1716,34 @@ mod tests {
 
     #[test]
     fn forks_are_independent() {
+        use k2_kernel::fs::FsError;
+        fn lookup(s: &mut K2System, m: &mut K2Machine, path: &str) -> Result<(), FsError> {
+            let weak = K2System::kernel_core(m, DomainId::WEAK);
+            shadowed(s, m, weak, ServiceId::Fs, |s, cx| s.fs.lookup(path, cx)).0?;
+            Ok(())
+        }
         let (m, sys) = K2System::boot(SystemConfig::k2());
         let snap = K2System::snapshot(&m, &sys);
         let (mut f1, mut s1) = K2System::fork(&snap);
-        let (f2, s2) = K2System::fork(&snap);
+        let (mut f2, mut s2) = K2System::fork(&snap);
         let d2_before = f2.state_digest();
         // Running fork 1 must not perturb fork 2 or the frozen image.
         let weak = K2System::kernel_core(&f1, DomainId::WEAK);
         sensor_arm(&mut s1, &mut f1, weak, 8, SimDuration::from_ms(5));
         f1.run_until(f1.now() + SimDuration::from_secs(1), &mut s1);
+        // Nor may a filesystem write: the ramdisk is shared copy-on-write.
+        let (res, _) = shadowed(&mut s1, &mut f1, weak, ServiceId::Fs, |s, cx| {
+            let ino = s.fs.create("/fork1-only", cx)?;
+            s.fs.write(ino, 0, &[0xa5; 3 * 4096], cx)
+        });
+        res.expect("fork 1 write");
+        assert_eq!(lookup(&mut s1, &mut f1, "/fork1-only"), Ok(()));
         assert_eq!(f2.state_digest(), d2_before);
         assert_eq!(snap.machine.digest(), d2_before);
-        drop(s2);
+        let missing = Err(FsError::NotFound);
+        assert_eq!(lookup(&mut s2, &mut f2, "/fork1-only"), missing);
+        let (mut f3, mut s3) = K2System::fork(&snap);
+        assert_eq!(lookup(&mut s3, &mut f3, "/fork1-only"), missing);
     }
 
     #[test]
