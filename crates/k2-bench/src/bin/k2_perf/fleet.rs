@@ -10,6 +10,11 @@
 //! * **Epoch-loop allocation churn** — heap allocations per
 //!   machine-epoch over one extra serial run. The epoch bookkeeping
 //!   recycles its buffers, so this stays a small constant.
+//! * **Per-event allocation bound** — heap allocations per simulated
+//!   event over one run of the 64-machine dense fleet (every machine busy
+//!   every epoch, so per-event work dominates), asserted ≤ 1: the
+//!   shadowed-service path, interrupt raise and fabric queue allocate
+//!   nothing per event once warm.
 //!
 //! The gate is `serial_fleet_events_per_sec` at −15%. This module also
 //! holds the storm timer the `observe` section shares.
@@ -20,10 +25,13 @@ use k2::system::{K2System, SystemConfig, SystemSnapshot};
 use k2_check::fleet::{cold_machine, warmed_snapshot, FleetSpec};
 use k2_check::{run_fleet_from, FleetReport};
 use k2_sim::sink::SinkMode;
+use k2_sim::time::SimDuration;
 
 pub const SEED: u64 = 2_014;
 /// Timing repetitions per fleet run (median taken).
 const FLEET_REPS: u32 = 3;
+/// Ceiling on heap allocations per simulated event in the dense fleet.
+const ALLOCS_PER_EVENT_MAX: f64 = 1.0;
 
 /// The committed 1,000-device storm at a worker count and span sink.
 pub fn storm(workers: usize, sink: SinkMode) -> FleetSpec {
@@ -58,12 +66,28 @@ pub fn time_storm(spec: &FleetSpec, snap: &SystemSnapshot) -> StormRun {
     StormRun { secs, report }
 }
 
-/// Heap allocations per machine-epoch over one extra run of `spec`.
-pub fn allocs_per_machine_epoch(spec: &FleetSpec, snap: &SystemSnapshot) -> u64 {
+/// The same fleet code at 64 busy machines: 60 devices and 4 hubs, a
+/// 32-datagram burst every 5 ms (10 bursts), 200 one-ms epochs — the
+/// shape of hostbench's `fleet-dense` workload.
+fn dense() -> FleetSpec {
+    let mut spec = FleetSpec::sync_storm(60, 4);
+    spec.seed = SEED;
+    spec.workers = 1;
+    spec.burst = 32;
+    spec.bursts = 10;
+    spec.period = SimDuration::from_ms(5);
+    spec.epochs = 200;
+    spec
+}
+
+/// Heap allocations over one extra run of `spec`, per machine-epoch and
+/// per simulated event.
+pub fn allocs_per_unit(spec: &FleetSpec, snap: &SystemSnapshot) -> (f64, f64) {
     let before = allocations();
     let report = run_fleet_from(spec, snap);
-    let machine_epochs = u64::from(report.machines) * u64::from(report.epochs);
-    (allocations() - before) / machine_epochs
+    let allocs = (allocations() - before) as f64;
+    let machine_epochs = f64::from(report.machines) * f64::from(report.epochs);
+    (allocs / machine_epochs, allocs / report.events as f64)
 }
 
 pub fn run() -> String {
@@ -108,8 +132,19 @@ pub fn run() -> String {
         .collect();
     assert_worker_invariance(&runs.iter().map(|r| &r.report).collect::<Vec<_>>());
 
-    let allocs = allocs_per_machine_epoch(&spec, &snap);
-    eprintln!("  allocs/machine-epoch: {allocs}");
+    let (allocs, _) = allocs_per_unit(&spec, &snap);
+    eprintln!("  allocs/machine-epoch: {allocs:.2}");
+    let dense = dense();
+    let (_, dense_allocs_per_event) = allocs_per_unit(&dense, &snap);
+    eprintln!(
+        "  dense fleet ({} machines): {dense_allocs_per_event:.3} allocs/event",
+        dense.machines()
+    );
+    assert!(
+        dense_allocs_per_event <= ALLOCS_PER_EVENT_MAX,
+        "dense fleet allocates {dense_allocs_per_event:.3} times per event \
+         (bound {ALLOCS_PER_EVENT_MAX})"
+    );
 
     let serial = &runs[0];
     document("pr9", |w| {
@@ -127,7 +162,12 @@ pub fn run() -> String {
             w.int("epochs", u64::from(serial.report.epochs));
             w.int("events", serial.report.events);
             w.text("digest", &format!("{:016x}", serial.report.digest));
-            w.int("allocs_per_machine_epoch", allocs);
+            w.num("allocs_per_machine_epoch", allocs);
+        });
+        w.object("dense_fleet", |w| {
+            w.int("machines", u64::from(dense.machines()));
+            w.int("epochs", u64::from(dense.epochs));
+            w.num("allocs_per_event", dense_allocs_per_event);
         });
         for (workers, r) in WORKERS.iter().zip(&runs) {
             w.num(

@@ -16,7 +16,7 @@
 //! path.
 
 use crate::common::{document, host_parallelism, median_of, Fields};
-use crate::fleet::{allocs_per_machine_epoch, storm, time_storm, StormRun, SEED};
+use crate::fleet::{allocs_per_unit, storm, time_storm, StormRun, SEED};
 use crate::smoke::storm_invariance;
 use k2_check::fleet::{run_fleet_traced, warmed_snapshot, FleetSpec};
 use k2_sim::sink::SinkMode;
@@ -78,8 +78,8 @@ pub fn run() -> String {
         export_secs * 1e3
     );
 
-    let allocs = allocs_per_machine_epoch(&storm(8, SinkMode::Disabled), &snap);
-    eprintln!("  allocs/machine-epoch: {allocs}");
+    let (allocs, _) = allocs_per_unit(&storm(8, SinkMode::Disabled), &snap);
+    eprintln!("  allocs/machine-epoch: {allocs:.2}");
 
     let base = disabled.events_per_sec();
     document("pr10", |w| {
@@ -92,7 +92,7 @@ pub fn run() -> String {
             w.int("events", r.events);
             w.text("sim_digest", &format!("{:016x}", r.digest));
             w.int("stragglers", r.timeline.stragglers.len() as u64);
-            w.int("allocs_per_machine_epoch", allocs);
+            w.num("allocs_per_machine_epoch", allocs);
         });
         for (sink, r) in SINKS.iter().zip(&runs) {
             w.num(

@@ -18,13 +18,18 @@
 //! how many worker threads advanced the machines.
 //!
 //! Delivery order is *digest-stable*: in-flight datagrams are handed out
-//! by [`NetFabric::take_due`] sorted by `(arrival time, route sequence)`,
+//! by [`NetFabric::take_due`] in `(arrival time, route sequence)` order,
 //! so ties between datagrams arriving at the same instant break on the
-//! deterministic route order, never on heap or hash iteration order.
+//! deterministic route order. The in-flight queue is a min-heap on that
+//! same key; route sequences are unique, so the order is total and the
+//! heap's internal layout can never show through.
 
 use crate::net::udp::{EgressDatagram, MachineAddr, Port};
 use k2_sim::time::{SimDuration, SimTime};
 use k2_sim::SimRng;
+use std::cmp::Ordering;
+use std::collections::binary_heap::PeekMut;
+use std::collections::BinaryHeap;
 
 /// Stream ids for [`SimRng::seed_from_stream`] — disjoint from the
 /// scheduler/chooser streams the rest of the simulator uses, so fabric
@@ -66,6 +71,37 @@ pub struct InFlight {
     /// fabric never reads or rewrites it, so tracing cannot perturb
     /// routing decisions.
     pub trace: k2_sim::span::TraceCtx,
+}
+
+/// An [`InFlight`] ordered for the in-flight min-heap: the earliest
+/// `(arrival, seq)` is the greatest, so [`BinaryHeap::pop`] yields it.
+#[derive(Clone, Debug)]
+struct Queued(InFlight);
+
+impl Queued {
+    fn key(&self) -> (SimTime, u64) {
+        (self.0.arrival, self.0.seq)
+    }
+}
+
+impl PartialEq for Queued {
+    fn eq(&self, other: &Self) -> bool {
+        self.key() == other.key()
+    }
+}
+
+impl Eq for Queued {}
+
+impl PartialOrd for Queued {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Queued {
+    fn cmp(&self, other: &Self) -> Ordering {
+        other.key().cmp(&self.key())
+    }
 }
 
 /// Counters of everything the fabric did.
@@ -142,7 +178,7 @@ pub struct NetFabric {
     rng_drop: SimRng,
     rng_latency: SimRng,
     rng_reorder: SimRng,
-    in_flight: Vec<InFlight>,
+    in_flight: BinaryHeap<Queued>,
     seq: u64,
     stats: FabricStats,
 }
@@ -162,7 +198,7 @@ impl NetFabric {
                 rng_drop: SimRng::seed_from_stream(seed, STREAM_DROP),
                 rng_latency: SimRng::seed_from_stream(seed, STREAM_LATENCY),
                 rng_reorder: SimRng::seed_from_stream(seed, STREAM_REORDER),
-                in_flight: Vec::new(),
+                in_flight: BinaryHeap::new(),
                 seq: 0,
                 stats: FabricStats::default(),
             },
@@ -197,7 +233,7 @@ impl NetFabric {
         }
         let arrival = now + SimDuration::from_ns(latency);
         self.seq += 1;
-        self.in_flight.push(InFlight {
+        self.in_flight.push(Queued(InFlight {
             arrival,
             seq: self.seq,
             src,
@@ -206,7 +242,7 @@ impl NetFabric {
             src_port: d.src_port,
             payload: d.payload,
             trace: d.trace,
-        });
+        }));
         let depth = self.in_flight.len() as u64;
         if depth > self.stats.max_in_flight {
             self.stats.max_in_flight = depth;
@@ -217,11 +253,14 @@ impl NetFabric {
     /// Moves every in-flight datagram arriving at or before `until` into
     /// `buf` (appending), sorted by `(arrival, seq)` — the digest-stable
     /// delivery order. The remainder stays in flight. `buf` is a caller
-    /// scratch buffer; steady state allocates nothing.
+    /// scratch buffer; steady state allocates nothing. Costs
+    /// O(due · log in-flight): datagrams not yet due are never touched.
     pub fn take_due(&mut self, until: SimTime, buf: &mut Vec<InFlight>) {
-        self.in_flight.sort_unstable_by_key(|f| (f.arrival, f.seq));
-        let cut = self.in_flight.partition_point(|f| f.arrival <= until);
-        for f in self.in_flight.drain(..cut) {
+        while let Some(next) = self.in_flight.peek_mut() {
+            if next.0.arrival > until {
+                break;
+            }
+            let Queued(f) = PeekMut::pop(next);
             self.stats.delivered += 1;
             self.stats.delivered_bytes += f.payload.len() as u64;
             buf.push(f);
@@ -324,6 +363,66 @@ mod tests {
         assert_eq!(due.len(), 3);
         assert_eq!(f.stats().delivered, 3);
         assert_eq!(f.stats().delivered_bytes, 3);
+    }
+
+    /// Model check of the heap-ordered queue against the plain definition
+    /// of delivery order: everything routed so far, minus what was
+    /// delivered, sorted by `(arrival, seq)` and cut at `until`. Routes
+    /// at `now` advancing by `step(rng)` ns; returns the fabric's stats.
+    fn check_take_due_against_sort(
+        mut f: NetFabric,
+        step: impl Fn(&mut SimRng) -> u64,
+    ) -> FabricStats {
+        let mut rng = SimRng::seed_from_u64(0x5EED);
+        // The reference: (arrival, seq) of every datagram still in flight.
+        let mut reference: Vec<(SimTime, u64)> = Vec::new();
+        let mut max_depth = 0usize;
+        let mut routed_queued = 0u64;
+        let mut now = SimTime::ZERO;
+        let mut due = Vec::new();
+        for cut in 0..40u64 {
+            for _ in 0..rng.gen_range(60) {
+                now += SimDuration::from_ns(step(&mut rng));
+                let tag = (routed_queued % 251) as u8;
+                if let Route::Queued(arrival) =
+                    f.route(now, MachineAddr(0), dg(rng.gen_range(16) as u16, tag))
+                {
+                    routed_queued += 1;
+                    reference.push((arrival, routed_queued));
+                    max_depth = max_depth.max(reference.len());
+                }
+            }
+            // Cuts land before, inside and beyond the in-flight window.
+            let until = now + SimDuration::from_ns(rng.gen_range(3_000_000)) * (cut % 3);
+            due.clear();
+            f.take_due(until, &mut due);
+            reference.sort_unstable();
+            let split = reference.partition_point(|&(at, _)| at <= until);
+            let expected: Vec<(SimTime, u64)> = reference.drain(..split).collect();
+            let got: Vec<(SimTime, u64)> = due.iter().map(|d| (d.arrival, d.seq)).collect();
+            assert_eq!(got, expected, "cut {cut} at {until:?}");
+            assert_eq!(f.in_flight(), reference.len(), "cut {cut}");
+            assert_eq!(f.stats().max_in_flight, max_depth as u64, "cut {cut}");
+        }
+        assert!(f.stats().delivered > 500, "the model saw real traffic");
+        f.stats().clone()
+    }
+
+    #[test]
+    fn take_due_matches_a_full_sort_over_random_traffic() {
+        let wide = NetFabric::builder(99, 16)
+            .latency(SimDuration::from_us(500), SimDuration::from_ms(4))
+            .loss(0.1)
+            .reorder(0.3)
+            .build();
+        let stats = check_take_due_against_sort(wide, |rng| rng.gen_range(40_000));
+        assert!(stats.reordered > 0 && stats.dropped > 0);
+        // A 2 ns latency band and 10 us route steps: many datagrams share
+        // an arrival instant, so only the route sequence orders them.
+        let narrow = NetFabric::builder(7, 16)
+            .latency(SimDuration::from_ms(1), SimDuration::from_ns(1_000_002))
+            .build();
+        check_take_due_against_sort(narrow, |rng| rng.gen_range(3) * 10_000);
     }
 
     #[test]

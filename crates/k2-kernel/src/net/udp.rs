@@ -16,8 +16,9 @@
 
 use crate::cost::Cost;
 use crate::service::OpCx;
+use k2_sim::hash::FastMap;
 use k2_sim::span::TraceCtx;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::fmt;
 
 /// Maximum payload of one datagram (no fragmentation modelled).
@@ -133,7 +134,7 @@ struct Socket {
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct NetStack {
-    sockets: HashMap<u16, Socket>,
+    sockets: FastMap<u16, Socket>,
     next_ephemeral: u16,
     next_state_page: u32,
     sent_datagrams: u64,
@@ -147,7 +148,7 @@ impl NetStack {
     /// Creates an empty stack.
     pub fn new() -> Self {
         NetStack {
-            sockets: HashMap::new(),
+            sockets: FastMap::default(),
             next_ephemeral: 32_768,
             next_state_page: 1,
             sent_datagrams: 0,

@@ -56,6 +56,15 @@ impl OpCx {
         Self::default()
     }
 
+    /// Empties the context for the next operation, keeping its buffers,
+    /// so a context reused across operations allocates nothing once warm.
+    pub fn clear(&mut self) {
+        self.cost = Cost::default();
+        self.reads.clear();
+        self.writes.clear();
+        self.fresh.clear();
+    }
+
     /// Adds to the operation's cost.
     pub fn charge(&mut self, c: Cost) {
         self.cost += c;
@@ -115,29 +124,6 @@ impl OpCx {
     pub fn fresh(&self) -> &[StatePage] {
         &self.fresh
     }
-
-    /// Consumes the context into its trace.
-    pub fn into_trace(self) -> OpTrace {
-        OpTrace {
-            cost: self.cost,
-            reads: self.reads,
-            writes: self.writes,
-            fresh: self.fresh,
-        }
-    }
-}
-
-/// The complete access trace of one operation.
-#[derive(Clone, Debug, Default)]
-pub struct OpTrace {
-    /// Total cost.
-    pub cost: Cost,
-    /// Pages read (including written).
-    pub reads: Vec<StatePage>,
-    /// Pages written.
-    pub writes: Vec<StatePage>,
-    /// Pages freshly allocated.
-    pub fresh: Vec<StatePage>,
 }
 
 #[cfg(test)]
@@ -172,14 +158,16 @@ mod tests {
     }
 
     #[test]
-    fn into_trace_round_trip() {
+    fn clear_forgets_everything_but_capacity() {
         let mut cx = OpCx::new();
-        cx.charge(Cost::instr(1));
-        cx.read(0);
-        let t = cx.into_trace();
-        assert_eq!(t.cost, Cost::instr(1));
-        assert_eq!(t.reads.len(), 1);
-        assert!(t.writes.is_empty());
+        cx.charge(Cost::instr(5));
+        cx.alloc(1);
+        cx.read(2);
+        let cap = cx.reads.capacity();
+        cx.clear();
+        assert_eq!(cx.cost(), Cost::default());
+        assert!(cx.reads().is_empty() && cx.writes().is_empty() && cx.fresh().is_empty());
+        assert_eq!(cx.reads.capacity(), cap);
     }
 
     #[test]

@@ -31,6 +31,7 @@ pub mod audit;
 pub mod digest;
 pub mod explore;
 pub mod export;
+pub mod hash;
 pub mod json;
 pub mod metrics;
 pub mod queue;
@@ -45,6 +46,7 @@ pub use audit::{InvariantAuditor, Violation};
 pub use digest::Fnv64;
 pub use explore::{ChoicePoint, EventClass, ScheduleChooser};
 pub use export::ChromeTraceWriter;
+pub use hash::{FastMap, FastSet};
 pub use json::{IoAdapter, Json, JsonWriter};
 pub use metrics::{Key, Registry, ShardedCounter, Tag, TimeWeightedGauge};
 pub use queue::{EventKey, EventQueue};

@@ -295,7 +295,20 @@ impl fmt::Display for SimDuration {
 #[inline]
 pub fn cycles_to_duration(cycles: u64, hz: u64) -> SimDuration {
     assert!(hz > 0, "core frequency must be non-zero");
-    // ns = cycles * 1e9 / hz, rounded up, computed in u128 to avoid overflow.
+    // ns = cycles * 1e9 / hz, rounded up. Every count a simulated op
+    // produces fits the exact u64 product; only counts beyond ~584 years
+    // of cycles at 1 GHz take the (much slower) u128 division.
+    if cycles <= CYCLES_U64_MAX {
+        return SimDuration((cycles * 1_000_000_000).div_ceil(hz));
+    }
+    cycles_to_duration_wide(cycles, hz)
+}
+
+/// Largest cycle count whose product with 1e9 fits in a `u64`.
+const CYCLES_U64_MAX: u64 = u64::MAX / 1_000_000_000;
+
+/// The general form of [`cycles_to_duration`], computed in `u128`.
+fn cycles_to_duration_wide(cycles: u64, hz: u64) -> SimDuration {
     let ns = ((cycles as u128) * 1_000_000_000).div_ceil(hz as u128);
     SimDuration(ns.min(u64::MAX as u128) as u64)
 }
@@ -352,6 +365,27 @@ mod tests {
         assert_eq!(cycles_to_duration(1, 1_000_000_000).as_ns(), 1);
         assert_eq!(cycles_to_duration(3, 2_000_000_000).as_ns(), 2);
         assert_eq!(cycles_to_duration(0, 100).as_ns(), 0);
+    }
+
+    #[test]
+    fn cycles_fast_path_matches_wide_path() {
+        let counts = [
+            0,
+            1,
+            CYCLES_U64_MAX - 1,
+            CYCLES_U64_MAX,
+            CYCLES_U64_MAX + 1,
+            u64::MAX,
+        ];
+        for hz in [1, 3, 350_000_000, 1_000_000_000, 1_200_000_000, u64::MAX] {
+            for cycles in counts {
+                assert_eq!(
+                    cycles_to_duration(cycles, hz),
+                    cycles_to_duration_wide(cycles, hz),
+                    "{cycles} cycles at {hz} Hz"
+                );
+            }
+        }
     }
 
     #[test]

@@ -11,7 +11,7 @@
 
 use crate::ids::{DomainId, IrqId};
 use k2_sim::explore::EventClass;
-use std::collections::HashSet;
+use k2_sim::hash::FastSet;
 
 /// Schedule-exploration class of deferred interrupt raises (bottom halves
 /// and fault-injected spurious lines scheduled as queue events).
@@ -20,8 +20,8 @@ pub const EVENT_CLASS: EventClass = EventClass::Irq;
 /// One domain's interrupt controller state.
 #[derive(Clone, Debug, Default)]
 pub struct IrqController {
-    unmasked: HashSet<u16>,
-    pending: HashSet<u16>,
+    unmasked: FastSet<u16>,
+    pending: FastSet<u16>,
     delivered: u64,
 }
 
@@ -92,6 +92,32 @@ impl IrqController {
     }
 }
 
+/// A set of domains as a bitmask (bit `i` is `DomainId(i)`), iterated in
+/// ascending domain order. What [`IrqFabric::raise`] returns, so raising
+/// a line allocates nothing.
+#[derive(Clone, Copy, PartialEq, Eq, Default, Debug)]
+pub struct DomainMask(u64);
+
+impl DomainMask {
+    fn insert(&mut self, dom: DomainId) {
+        self.0 |= 1 << dom.0;
+    }
+}
+
+impl Iterator for DomainMask {
+    type Item = DomainId;
+
+    /// Removes and returns the lowest domain left in the set.
+    fn next(&mut self) -> Option<DomainId> {
+        if self.0 == 0 {
+            return None;
+        }
+        let low = self.0.trailing_zeros();
+        self.0 &= self.0 - 1;
+        Some(DomainId(low as u8))
+    }
+}
+
 /// The platform interrupt fabric: one controller per domain, with shared
 /// lines wired to all of them.
 #[derive(Clone, Debug)]
@@ -101,7 +127,12 @@ pub struct IrqFabric {
 
 impl IrqFabric {
     /// Creates a fabric for `domains` domains.
+    ///
+    /// # Panics
+    ///
+    /// Panics beyond 64 domains, the width of a [`DomainMask`].
     pub fn new(domains: usize) -> Self {
+        assert!(domains <= 64, "at most 64 interrupt domains");
         IrqFabric {
             controllers: (0..domains).map(|_| IrqController::new()).collect(),
         }
@@ -127,11 +158,11 @@ impl IrqFabric {
 
     /// Signals a line to every domain; returns the domains that should
     /// receive it now (the rest latch it pending).
-    pub fn raise(&mut self, irq: IrqId) -> Vec<DomainId> {
-        let mut out = Vec::new();
+    pub fn raise(&mut self, irq: IrqId) -> DomainMask {
+        let mut out = DomainMask::default();
         for (i, c) in self.controllers.iter_mut().enumerate() {
             if c.raise(irq) {
-                out.push(DomainId(i as u8));
+                out.insert(DomainId(i as u8));
             }
         }
         out
@@ -183,12 +214,28 @@ mod tests {
         let mut f = IrqFabric::new(2);
         f.controller_mut(DomainId::STRONG).unmask(IrqId::DMA);
         let got = f.raise(IrqId::DMA);
-        assert_eq!(got, vec![DomainId::STRONG]);
+        assert_eq!(got.collect::<Vec<_>>(), vec![DomainId::STRONG]);
         // K2's invariant — exactly one kernel should unmask a shared line —
-        // is policy, not mechanism: hardware happily delivers to both.
+        // is policy, not mechanism: hardware happily delivers to both,
+        // in ascending domain order.
         f.controller_mut(DomainId::WEAK).unmask(IrqId::DMA);
         let got = f.raise(IrqId::DMA);
-        assert_eq!(got.len(), 2);
+        assert_eq!(
+            got.collect::<Vec<_>>(),
+            vec![DomainId::STRONG, DomainId::WEAK]
+        );
+    }
+
+    #[test]
+    fn domain_mask_iterates_ascending() {
+        let mut f = IrqFabric::new(4);
+        for d in [3u8, 0, 2] {
+            f.controller_mut(DomainId(d)).unmask(IrqId::NET);
+        }
+        let got = f.raise(IrqId::NET);
+        let order: Vec<u8> = got.map(|d| d.0).collect();
+        assert_eq!(order, vec![0, 2, 3]);
+        assert_eq!(f.raise(IrqId::DMA).next(), None, "masked everywhere: pends");
     }
 
     #[test]

@@ -24,6 +24,7 @@ use k2_sim::audit::InvariantAuditor;
 use k2_sim::digest::Fnv64;
 use k2_sim::explore::{ChoicePoint, EventClass, ScheduleChooser};
 use k2_sim::export::ChromeTraceWriter;
+use k2_sim::hash::FastMap;
 use k2_sim::json::JsonWriter;
 use k2_sim::metrics::{CounterId, DurationId, GaugeId, HistogramId, Key, Registry, Tag};
 use k2_sim::queue::EventQueue;
@@ -31,7 +32,7 @@ use k2_sim::sink::SinkMode;
 use k2_sim::span::{SpanArgs, SpanId, SpanTracker};
 use k2_sim::time::{SimDuration, SimTime};
 use k2_sim::trace::{Trace, TraceEvent};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::fmt;
 
 /// What a [`Task`] asks the machine to do next.
@@ -336,8 +337,8 @@ pub struct Machine<W> {
     dma: DmaEngine,
     dma_pending: Vec<crate::dma::DmaCompletion>,
     tasks: Vec<Option<TaskSlot<W>>>,
-    waiters: HashMap<(DomainId, IrqId), Vec<TaskId>>,
-    hooks: HashMap<(DomainId, IrqId), Option<IrqHook<W>>>,
+    waiters: FastMap<(DomainId, IrqId), Vec<TaskId>>,
+    hooks: FastMap<(DomainId, IrqId), Option<IrqHook<W>>>,
     power_observers: Vec<PowerObserver<W>>,
     live_tasks: u64,
     completed_tasks: u64,
@@ -346,13 +347,13 @@ pub struct Machine<W> {
     fault_plan: Option<FaultPlan>,
     auditor: InvariantAuditor,
     world_checks: Vec<(&'static str, WorldCheck<W>)>,
-    deferred: HashMap<u64, DeferredCall<W>>,
+    deferred: FastMap<u64, DeferredCall<W>>,
     next_call_id: u64,
     metrics: Registry,
     spans: SpanTracker,
     /// Submit time and flight span of each in-progress DMA transfer
-    /// (keyed removal only, so the HashMap cannot leak iteration order).
-    dma_inflight: HashMap<DmaXferId, (SpanId, SimTime)>,
+    /// (keyed removal only, so the map cannot leak iteration order).
+    dma_inflight: FastMap<DmaXferId, (SpanId, SimTime)>,
     schedule_chooser: Option<ScheduleChooser>,
     choice_points: u64,
     hot_ids: HotIds,
@@ -408,7 +409,7 @@ pub struct MachineSnapshot {
     /// quiescence requirement), so forked machines keep allocating
     /// [`TaskId`]s from the same watermark.
     task_slots: usize,
-    waiters: HashMap<(DomainId, IrqId), Vec<TaskId>>,
+    waiters: FastMap<(DomainId, IrqId), Vec<TaskId>>,
     completed_tasks: u64,
     trace: Trace,
     trace_stderr: bool,
@@ -417,7 +418,7 @@ pub struct MachineSnapshot {
     next_call_id: u64,
     metrics: Registry,
     spans: SpanTracker,
-    dma_inflight: HashMap<DmaXferId, (SpanId, SimTime)>,
+    dma_inflight: FastMap<DmaXferId, (SpanId, SimTime)>,
     choice_points: u64,
     hot_ids: HotIds,
     events_processed: u64,
@@ -493,7 +494,7 @@ struct StateView<'a> {
     dma: &'a DmaEngine,
     dma_pending: &'a [crate::dma::DmaCompletion],
     task_slots: usize,
-    waiters: &'a HashMap<(DomainId, IrqId), Vec<TaskId>>,
+    waiters: &'a FastMap<(DomainId, IrqId), Vec<TaskId>>,
     completed_tasks: u64,
     trace: &'a Trace,
     trace_stderr: bool,
@@ -502,7 +503,7 @@ struct StateView<'a> {
     next_call_id: u64,
     metrics: &'a Registry,
     spans: &'a SpanTracker,
-    dma_inflight: &'a HashMap<DmaXferId, (SpanId, SimTime)>,
+    dma_inflight: &'a FastMap<DmaXferId, (SpanId, SimTime)>,
     choice_points: u64,
     events_processed: u64,
 }
@@ -616,7 +617,7 @@ fn digest_machine_state(h: &mut Fnv64, v: StateView<'_>, observability: bool) {
         }
     }
     h.usize(v.task_slots).u64(v.completed_tasks);
-    // IRQ waiters, key-sorted (HashMap iteration order must not leak in).
+    // IRQ waiters, key-sorted (map iteration order must not leak in).
     let mut waits: Vec<(&(DomainId, IrqId), &Vec<TaskId>)> = v.waiters.iter().collect();
     waits.sort_unstable_by_key(|&(&(d, i), _)| (d.0, i.0));
     h.usize(waits.len());
@@ -710,8 +711,8 @@ impl<W> Machine<W> {
             dma: DmaEngine::new(crate::calib::DMA_BANDWIDTH_BPS),
             dma_pending: Vec::new(),
             tasks: Vec::new(),
-            waiters: HashMap::new(),
-            hooks: HashMap::new(),
+            waiters: FastMap::default(),
+            hooks: FastMap::default(),
             power_observers: Vec::new(),
             live_tasks: 0,
             completed_tasks: 0,
@@ -724,11 +725,11 @@ impl<W> Machine<W> {
             fault_plan: None,
             auditor: InvariantAuditor::new(),
             world_checks: Vec::new(),
-            deferred: HashMap::new(),
+            deferred: FastMap::default(),
             next_call_id: 0,
             metrics: Registry::new(),
             spans: SpanTracker::new(),
-            dma_inflight: HashMap::new(),
+            dma_inflight: FastMap::default(),
             schedule_chooser: None,
             choice_points: 0,
             hot_ids: HotIds::new(n_cores, n_domains),
@@ -809,7 +810,7 @@ impl<W> Machine<W> {
             dma_pending: snap.dma_pending.clone(),
             tasks: (0..snap.task_slots).map(|_| None).collect(),
             waiters: snap.waiters.clone(),
-            hooks: HashMap::new(),
+            hooks: FastMap::default(),
             power_observers: Vec::new(),
             live_tasks: 0,
             completed_tasks: snap.completed_tasks,
@@ -818,7 +819,7 @@ impl<W> Machine<W> {
             fault_plan: snap.fault_plan.clone(),
             auditor: snap.auditor.clone(),
             world_checks: Vec::new(),
-            deferred: HashMap::new(),
+            deferred: FastMap::default(),
             next_call_id: snap.next_call_id,
             metrics: snap.metrics.clone(),
             spans: snap.spans.clone(),

@@ -17,10 +17,10 @@ pub use protocol::{Access, DsmPage, MsgType, ProtocolStats, TwoStateProtocol};
 
 use k2_kernel::cost::Cost;
 use k2_kernel::service::{ServiceId, StatePage};
+use k2_sim::hash::FastSet;
 use k2_sim::stats::Summary;
 use k2_soc::ids::DomainId;
 use k2_soc::mmu::{DetectionMode, Mmu, MmuKind};
-use std::collections::HashSet;
 
 /// Which protocol the DSM runs.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -84,9 +84,9 @@ pub struct Dsm {
     protocol: ProtocolImpl,
     choice: ProtocolChoice,
     mmus: Vec<Mmu>,
-    shared_sections: HashSet<u64>,
+    shared_sections: FastSet<u64>,
     /// Pages that have ever been accessed by a non-boot domain.
-    shared_pages: HashSet<DsmPage>,
+    shared_pages: FastSet<DsmPage>,
     stats: DsmStats,
 }
 
@@ -111,8 +111,8 @@ impl Dsm {
             protocol,
             choice,
             mmus: mmu_kinds.iter().map(|&k| Mmu::new(k)).collect(),
-            shared_sections: HashSet::new(),
-            shared_pages: HashSet::new(),
+            shared_sections: FastSet::default(),
+            shared_pages: FastSet::default(),
             stats: DsmStats::default(),
         }
     }
@@ -141,6 +141,10 @@ impl Dsm {
     /// Like [`Dsm::plan_accesses`], with `fresh` naming pages the operation
     /// allocated from the local pool — these are seeded to the requester
     /// and never fault.
+    ///
+    /// Membership in `writes` and `fresh` is a linear scan: an operation
+    /// touches a handful of pages, and [`OpCx`](k2_kernel::service::OpCx)
+    /// already de-duplicates its lists, so the scan beats building a set.
     pub fn plan_accesses_with_fresh(
         &mut self,
         dom: DomainId,
@@ -150,7 +154,6 @@ impl Dsm {
         fresh: &[StatePage],
     ) -> AccessPlan {
         let mut plan = AccessPlan::default();
-        let fresh_set: HashSet<u32> = fresh.iter().map(|p| p.0).collect();
         for &sp in fresh {
             let page = DsmPage { service, page: sp };
             match &mut self.protocol {
@@ -162,9 +165,8 @@ impl Dsm {
             ProtocolChoice::TwoState => DetectionMode::PresenceOnly,
             ProtocolChoice::ThreeState => DetectionMode::ReadWriteDistinction,
         };
-        let write_set: HashSet<u32> = writes.iter().map(|p| p.0).collect();
         for &sp in reads {
-            if fresh_set.contains(&sp.0) {
+            if fresh.contains(&sp) {
                 continue; // seeded above: local by construction
             }
             let page = DsmPage { service, page: sp };
@@ -175,7 +177,7 @@ impl Dsm {
                 plan.detection_cycles +=
                     self.mmus[dom.index()].translate(Self::vpn(page), detection_mode);
             }
-            let is_write = write_set.contains(&sp.0);
+            let is_write = writes.contains(&sp);
             let faulted_from = match &mut self.protocol {
                 ProtocolImpl::Two(p) => match p.access(dom, page) {
                     Access::Hit => None,
@@ -354,6 +356,71 @@ mod tests {
         let mut d = dsm(ProtocolChoice::TwoState);
         d.plan_accesses(DomainId::WEAK, ServiceId::Net, &pages(&[0, 1]), &[]);
         assert_eq!(d.stats().messages, 4);
+    }
+
+    #[test]
+    fn fresh_pages_are_seeded_and_skipped() {
+        let mut d = dsm(ProtocolChoice::TwoState);
+        let plan = d.plan_accesses_with_fresh(
+            DomainId::WEAK,
+            ServiceId::Net,
+            &pages(&[5, 6]),
+            &pages(&[6]),
+            &pages(&[6]),
+        );
+        assert_eq!(plan.faults.len(), 1, "only the pre-existing page faults");
+        assert_eq!(plan.faults[0].page, DsmPage::new(ServiceId::Net, 5));
+        // The fresh page now belongs to the allocating domain.
+        let again = d.plan_accesses(DomainId::WEAK, ServiceId::Net, &pages(&[6]), &[]);
+        assert!(again.faults.is_empty());
+        let back = d.plan_accesses(DomainId::STRONG, ServiceId::Net, &pages(&[6]), &[]);
+        assert_eq!(back.faults.len(), 1);
+        assert_eq!(back.faults[0].from, DomainId::WEAK);
+        // Skipped means skipped: a fresh page never reaches the MMU model,
+        // even under the three-state protocol's always-translate detection.
+        let mut msi = dsm(ProtocolChoice::ThreeState);
+        let fresh_only = msi.plan_accesses_with_fresh(
+            DomainId::WEAK,
+            ServiceId::Net,
+            &pages(&[7]),
+            &pages(&[7]),
+            &pages(&[7]),
+        );
+        assert!(fresh_only.faults.is_empty());
+        assert_eq!(fresh_only.detection_cycles, 0);
+    }
+
+    #[test]
+    fn repeated_accesses_to_one_page_plan_one_fault() {
+        for choice in [ProtocolChoice::TwoState, ProtocolChoice::ThreeState] {
+            let mut d = dsm(choice);
+            let plan = d.plan_accesses(
+                DomainId::WEAK,
+                ServiceId::Fs,
+                &pages(&[4, 4, 4]),
+                &pages(&[4, 4]),
+            );
+            assert_eq!(plan.faults.len(), 1, "{choice:?}");
+            assert_eq!(d.stats().messages, 2, "{choice:?}");
+        }
+    }
+
+    #[test]
+    fn three_state_tells_writes_from_reads_through_the_write_list() {
+        let mut d = dsm(ProtocolChoice::ThreeState);
+        // The weak domain reads a copy: both domains now share the page.
+        let first = d.plan_accesses(DomainId::WEAK, ServiceId::Fs, &pages(&[0]), &[]);
+        assert_eq!(first.faults.len(), 1);
+        // A strong read of a shared page hits; a strong write does not.
+        let read = d.plan_accesses(DomainId::STRONG, ServiceId::Fs, &pages(&[0]), &[]);
+        assert!(read.faults.is_empty());
+        let write = d.plan_accesses(DomainId::STRONG, ServiceId::Fs, &pages(&[0]), &pages(&[0]));
+        assert_eq!(write.faults.len(), 1, "the write invalidates the weak copy");
+        // A page only read alongside a written one is still just read.
+        let mixed = d.plan_accesses(DomainId::WEAK, ServiceId::Fs, &pages(&[0, 9]), &pages(&[9]));
+        assert_eq!(mixed.faults.len(), 2);
+        let strong_read = d.plan_accesses(DomainId::STRONG, ServiceId::Fs, &pages(&[0]), &[]);
+        assert!(strong_read.faults.is_empty(), "page 0 stayed shared");
     }
 
     #[test]

@@ -12,8 +12,9 @@
 //! can measure exactly that effect against the two-state design.
 
 use crate::dsm::protocol::DsmPage;
+use k2_sim::hash::FastMap;
 use k2_soc::ids::DomainId;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 
 /// Page state in the MSI protocol, per page (global view).
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -73,7 +74,7 @@ pub struct MsiStats {
 /// ```
 #[derive(Clone, Debug)]
 pub struct MsiProtocol {
-    state: HashMap<DsmPage, MsiState>,
+    state: FastMap<DsmPage, MsiState>,
     default_owner: DomainId,
     stats: MsiStats,
 }
@@ -82,7 +83,7 @@ impl MsiProtocol {
     /// Creates the protocol with all pages Modified by `default_owner`.
     pub fn new(default_owner: DomainId) -> Self {
         MsiProtocol {
-            state: HashMap::new(),
+            state: FastMap::default(),
             default_owner,
             stats: MsiStats::default(),
         }

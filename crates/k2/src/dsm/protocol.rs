@@ -12,8 +12,8 @@
 //! exactly one kernel holds each page `Valid`.
 
 use k2_kernel::service::{ServiceId, StatePage};
+use k2_sim::hash::FastMap;
 use k2_soc::ids::DomainId;
-use std::collections::HashMap;
 
 /// Globally identifies one shared 4 KB page: a service's state page.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -112,7 +112,7 @@ pub struct ProtocolStats {
 /// ```
 #[derive(Clone, Debug)]
 pub struct TwoStateProtocol {
-    owner: HashMap<DsmPage, DomainId>,
+    owner: FastMap<DsmPage, DomainId>,
     default_owner: DomainId,
     stats: ProtocolStats,
     seq: u16,
@@ -123,7 +123,7 @@ impl TwoStateProtocol {
     /// `default_owner` (the kernel that boots the services).
     pub fn new(default_owner: DomainId) -> Self {
         TwoStateProtocol {
-            owner: HashMap::new(),
+            owner: FastMap::default(),
             default_owner,
             stats: ProtocolStats::default(),
             seq: 0,
@@ -183,14 +183,18 @@ impl TwoStateProtocol {
 
     /// Non-panicking form of [`TwoStateProtocol::check_one_writer_invariant`]:
     /// verifies the owner map has no sentinel values that would mean
-    /// "shared", reporting the first violation instead of aborting.
+    /// "shared", reporting the lowest violating page instead of aborting
+    /// (so the report never depends on map iteration order).
     pub fn validate_one_writer(&self) -> Result<(), String> {
-        for (&page, &owner) in &self.owner {
-            if !(owner == DomainId::STRONG || owner.0 < 8) {
-                return Err(format!("page {page:?} has invalid owner {owner}"));
-            }
+        let bad = self
+            .owner
+            .iter()
+            .filter(|&(_, &owner)| !(owner == DomainId::STRONG || owner.0 < 8))
+            .min_by_key(|&(&page, _)| page);
+        match bad {
+            Some((page, owner)) => Err(format!("page {page:?} has invalid owner {owner}")),
+            None => Ok(()),
         }
-        Ok(())
     }
 }
 

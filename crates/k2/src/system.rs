@@ -26,7 +26,7 @@ use k2_kernel::reliable::{LinkStats, ReliableLink, RetryVerdict, SendTicket};
 use k2_kernel::service::{OpCx, ServiceId};
 use k2_sim::digest::Fnv64;
 use k2_sim::json::{Json, JsonWriter};
-use k2_sim::metrics::{Key, Tag};
+use k2_sim::metrics::{CounterId, Key, Tag};
 use k2_sim::time::SimDuration;
 use k2_soc::core::Isa;
 use k2_soc::dma::{DmaStatus, DmaXferId};
@@ -167,6 +167,14 @@ pub struct K2System {
     sensor_watermark: usize,
     /// Counters.
     pub stats: SystemStats,
+    /// The operation context every [`shadowed`] call borrows and returns,
+    /// so an op's page lists reuse warm buffers. Empty between ops; never
+    /// digested.
+    op_cx: OpCx,
+    /// `svc.shadowed` counter ids per domain, interned in the machine's
+    /// registry on each domain's first shadowed op. Boot and fork pair
+    /// this world with that registry.
+    svc_shadowed_ids: [Option<CounterId>; 4],
 }
 
 impl K2System {
@@ -256,6 +264,8 @@ impl K2System {
             sensor_period: None,
             sensor_watermark: 0,
             stats: SystemStats::default(),
+            op_cx: OpCx::new(),
+            svc_shadowed_ids: [None; 4],
         };
         // Interrupt wiring: mailbox lines are domain-private and always
         // unmasked towards their own domain; shared lines start with the
@@ -685,7 +695,7 @@ fn install_net_hook(machine: &mut K2Machine, dom: DomainId) {
             // shadowed network-stack operation like any other.
             let (res, dur) = shadowed(w, m, cx.core, ServiceId::Net, |s, opcx| {
                 s.net
-                    .deliver_external_traced(d.port, d.src, d.payload.clone(), d.trace, opcx)
+                    .deliver_external_traced(d.port, d.src, d.payload, d.trace, opcx)
             });
             let rx_end = m.now() + dur;
             m.spans_mut().end(rx_end, rx);
@@ -976,6 +986,11 @@ pub fn dur_to_cycles(d: SimDuration, hz: u64) -> u64 {
 /// dispatch overhead on the weak domain, and DSM coherence for every state
 /// page the operation touched. Returns the operation's result and the
 /// duration the caller must charge.
+///
+/// The operation runs against the world's reusable [`OpCx`]: taken and
+/// cleared here, handed back (cleared) once the DSM has planned from its
+/// page lists — before anything that could re-enter `shadowed` through an
+/// interrupt hook. A re-entrant call meanwhile finds a fresh context.
 pub fn shadowed<R>(
     w: &mut K2System,
     m: &mut K2Machine,
@@ -983,17 +998,17 @@ pub fn shadowed<R>(
     service: ServiceId,
     f: impl FnOnce(&mut SharedServices, &mut OpCx) -> R,
 ) -> (R, SimDuration) {
-    let mut cx = OpCx::new();
+    let mut cx = std::mem::take(&mut w.op_cx);
+    cx.clear();
     let r = f(&mut w.world.services, &mut cx);
-    let trace = cx.into_trace();
-    let cost = trace.cost;
+    let cost = cx.cost();
     let desc = m.core_desc(core).clone();
     let dom = desc.domain;
     let mut dur = cost.time_on(&desc);
     w.stats.shadowed_ops += 1;
-    m.metrics_mut()
-        .incr(Key::new("svc.shadowed", Tag::Domain(dom.0)));
+    bump_svc_shadowed(w, m, dom);
     if w.config.mode == SystemMode::LinuxBaseline {
+        put_back_op_cx(w, cx);
         return (r, dur);
     }
     // §5.3 step 4: locks augmented with hardware spinlocks. A stuck bank
@@ -1029,9 +1044,10 @@ pub fn shadowed<R>(
         dur += DispatchTable::overhead_for(cost.instructions).time_on(&desc);
     }
     // §6.3: coherence for the touched state pages.
-    let plan =
-        w.dsm
-            .plan_accesses_with_fresh(dom, service, &trace.reads, &trace.writes, &trace.fresh);
+    let plan = w
+        .dsm
+        .plan_accesses_with_fresh(dom, service, cx.reads(), cx.writes(), cx.fresh());
+    put_back_op_cx(w, cx);
     dur += desc.cycles_dur(plan.detection_cycles);
     dur += plan.split_cost.time_on(&desc);
     for fault in plan.faults {
@@ -1078,6 +1094,28 @@ pub fn shadowed<R>(
         }
     }
     (r, dur)
+}
+
+/// Bumps `svc.shadowed{dom}` through its cached counter id, interning
+/// it on the domain's first op — the same point the key-based bump
+/// interned it, so counter ids (and every digest) are unchanged.
+fn bump_svc_shadowed(w: &mut K2System, m: &mut K2Machine, dom: DomainId) {
+    let key = Key::new("svc.shadowed", Tag::Domain(dom.0));
+    let metrics = m.metrics_mut();
+    let id = *w.svc_shadowed_ids[dom.index()].get_or_insert_with(|| metrics.counter_id(key));
+    debug_assert_eq!(
+        metrics.counter_id(key),
+        id,
+        "world and machine registry out of step"
+    );
+    metrics.incr_by_id(id);
+}
+
+/// Returns the reusable operation context to the world, emptied so a
+/// snapshot never carries (or clones) the last op's page lists.
+fn put_back_op_cx(w: &mut K2System, mut cx: OpCx) {
+    cx.clear();
+    w.op_cx = cx;
 }
 
 /// Deadline one hwspinlock poll burst spins before aborting: ten bus
@@ -1533,6 +1571,82 @@ mod tests {
         });
         assert_eq!(sys.dsm.total_faults(), 0);
         assert_eq!(sys.stats.hwlock_ops, 0);
+    }
+
+    /// The first op of the reuse tests: weak-side (or the baseline's only
+    /// kernel) filesystem work that reads, writes and allocates pages and
+    /// charges a distinctive cost.
+    fn fs_op(sys: &mut K2System, m: &mut K2Machine, core: CoreId) -> SimDuration {
+        shadowed(sys, m, core, ServiceId::Fs, |_, cx| {
+            assert!(cx.reads().is_empty() && cx.cost() == Cost::default());
+            cx.charge(Cost::instr(1_000));
+            cx.read(10);
+            cx.write(11);
+            cx.alloc(12);
+        })
+        .1
+    }
+
+    /// The second op: a network-stack read of one page from `core`. Its
+    /// context must arrive empty whatever ran before it.
+    fn net_op(sys: &mut K2System, m: &mut K2Machine, core: CoreId) -> SimDuration {
+        shadowed(sys, m, core, ServiceId::Net, |_, cx| {
+            assert_eq!(cx.cost(), Cost::default(), "stale cost leaked in");
+            assert!(
+                cx.reads().is_empty() && cx.writes().is_empty() && cx.fresh().is_empty(),
+                "stale pages leaked in"
+            );
+            cx.charge(Cost::instr(200));
+            cx.read(3);
+        })
+        .1
+    }
+
+    #[test]
+    fn reused_op_context_isolates_consecutive_ops() {
+        let (mut m, mut sys) = K2System::boot(SystemConfig::k2());
+        let weak = K2System::kernel_core(&m, DomainId::WEAK);
+        let strong = K2System::kernel_core(&m, DomainId::STRONG);
+        fs_op(&mut sys, &mut m, weak);
+        assert_eq!(sys.dsm.total_faults(), 2, "weak fetched pages 10 and 11");
+        // What the second op alone must plan, from the DSM state the first
+        // op left behind: nothing — the strong kernel owns its Net pages.
+        let mut expect = sys.dsm.clone();
+        let plan = expect.plan_accesses(
+            DomainId::STRONG,
+            ServiceId::Net,
+            &[k2_kernel::service::StatePage(3)],
+            &[],
+        );
+        assert!(plan.faults.is_empty());
+        let d2 = net_op(&mut sys, &mut m, strong);
+        assert_eq!(sys.dsm.total_faults(), 2, "no stale page faulted back");
+        assert_eq!(sys.dsm.stats().messages, expect.stats().messages);
+        assert_eq!(
+            sys.dsm.stats().sections_split,
+            expect.stats().sections_split
+        );
+        // And it costs exactly what it costs on a system that never ran
+        // the first op.
+        let (mut m2, mut sys2) = K2System::boot(SystemConfig::k2());
+        assert_eq!(net_op(&mut sys2, &mut m2, strong), d2);
+        // The reverse order, weak after strong, sees only its own pages too.
+        let before = sys2.dsm.total_faults();
+        fs_op(&mut sys2, &mut m2, weak);
+        assert_eq!(sys2.dsm.total_faults() - before, 2);
+    }
+
+    #[test]
+    fn reused_op_context_is_returned_on_the_baseline_path() {
+        let (mut m, mut sys) = K2System::boot(SystemConfig::linux());
+        let core = K2System::kernel_core(&m, DomainId::STRONG);
+        let d1 = fs_op(&mut sys, &mut m, core);
+        let d2 = net_op(&mut sys, &mut m, core);
+        let (mut m2, mut sys2) = K2System::boot(SystemConfig::linux());
+        assert_eq!(net_op(&mut sys2, &mut m2, core), d2);
+        assert!(d1 > d2, "the first op's larger cost stayed with it");
+        assert_eq!(sys.stats.shadowed_ops, 2);
+        assert_eq!(sys.dsm.total_faults(), 0);
     }
 
     #[test]
