@@ -78,8 +78,7 @@ struct Active {
 /// let mut finished = Vec::new();
 /// while let Some(next) = dma.next_event_time(now) {
 ///     now = next; // first the setup boundary, then the completion
-///     finished.extend(dma.advance(now));
-///     if !finished.is_empty() { break; }
+///     if dma.advance(now, &mut finished) > 0 { break; }
 /// }
 /// assert_eq!(finished.len(), 1);
 /// ```
@@ -186,48 +185,48 @@ impl DmaEngine {
         id
     }
 
-    /// Advances progress to `now` and returns all transfers that have
-    /// finished by then, in completion order.
-    pub fn advance(&mut self, now: SimTime) -> Vec<DmaCompletion> {
+    /// Advances progress to `now` and appends every transfer that has
+    /// finished by then to `done`, in submission order; returns how many
+    /// it appended.
+    pub fn advance(&mut self, now: SimTime, done: &mut Vec<DmaCompletion>) -> usize {
         self.progress_to(now);
-        let done: Vec<DmaCompletion> = self
-            .active
-            .iter()
-            .filter(|a| a.remaining <= 0.5)
-            .map(|a| DmaCompletion {
+        let before = done.len();
+        let mut bytes = 0u64;
+        for a in self.active.iter().filter(|a| a.remaining <= 0.5) {
+            done.push(DmaCompletion {
                 id: a.id,
                 src: a.src,
                 dst: a.dst,
                 len: a.len,
                 status: DmaStatus::Ok,
-            })
-            .collect();
-        if !done.is_empty() {
+            });
+            bytes += a.len;
+        }
+        let n = done.len() - before;
+        if n > 0 {
             self.active.retain(|a| a.remaining > 0.5);
             self.generation += 1;
-            self.bytes_done += done.iter().map(|c| c.len).sum::<u64>();
+            self.bytes_done += bytes;
         }
-        done
+        n
     }
 
     /// The next time anything interesting happens (a transfer starting to
     /// move or finishing), or `None` if the engine is empty.
     pub fn next_event_time(&self, now: SimTime) -> Option<SimTime> {
-        let started: Vec<&Active> = self.active.iter().filter(|a| a.start <= now).collect();
+        let started = self.active.iter().filter(|a| a.start <= now);
+        let moving = started.clone().count();
         let pending_start = self
             .active
             .iter()
             .filter(|a| a.start > now)
             .map(|a| a.start)
             .min();
-        if started.is_empty() {
+        if moving == 0 {
             return pending_start;
         }
-        let rate = self.bandwidth_bps / started.len() as f64;
-        let min_remaining = started
-            .iter()
-            .map(|a| a.remaining)
-            .fold(f64::INFINITY, f64::min);
+        let rate = self.bandwidth_bps / moving as f64;
+        let min_remaining = started.map(|a| a.remaining).fold(f64::INFINITY, f64::min);
         let secs = (min_remaining / rate).max(0.0);
         let finish = now + SimDuration::from_secs_f64(secs).max_ns(1);
         Some(match pending_start {
@@ -263,13 +262,7 @@ impl DmaEngine {
         // now]: at each boundary the sharing factor changes.
         let mut t = self.last_update;
         while t < now {
-            let started: Vec<usize> = self
-                .active
-                .iter()
-                .enumerate()
-                .filter(|(_, a)| a.start <= t)
-                .map(|(i, _)| i)
-                .collect();
+            let moving = self.active.iter().filter(|a| a.start <= t).count();
             // Next boundary: the earliest pending start within (t, now].
             let boundary = self
                 .active
@@ -278,11 +271,10 @@ impl DmaEngine {
                 .map(|a| a.start)
                 .min()
                 .map_or(now, |s| s.min(now));
-            if !started.is_empty() {
+            if moving > 0 {
                 let dt = (boundary - t).as_secs_f64();
-                let rate = self.bandwidth_bps / started.len() as f64;
-                for i in started {
-                    let a = &mut self.active[i];
+                let rate = self.bandwidth_bps / moving as f64;
+                for a in self.active.iter_mut().filter(|a| a.start <= t) {
                     a.remaining = (a.remaining - rate * dt).max(0.0);
                 }
                 self.busy_time += boundary - t;
@@ -327,8 +319,7 @@ mod tests {
         let mut finished = Vec::new();
         while let Some(next) = dma.next_event_time(now) {
             now = next;
-            finished.extend(dma.advance(now));
-            if !finished.is_empty() {
+            if dma.advance(now, &mut finished) > 0 {
                 break;
             }
         }
@@ -353,7 +344,7 @@ mod tests {
         let mut finished = Vec::new();
         while let Some(next) = dma.next_event_time(now) {
             now = next;
-            finished.extend(dma.advance(now));
+            dma.advance(now, &mut finished);
             if finished.len() == 2 {
                 break;
             }
@@ -376,7 +367,9 @@ mod tests {
         let mut first_done = None;
         while let Some(next) = dma.next_event_time(now) {
             now = next;
-            for c in dma.advance(now) {
+            let mut done = Vec::new();
+            dma.advance(now, &mut done);
+            for c in done {
                 if c.id == DmaXferId(0) && first_done.is_none() {
                     first_done = Some(now);
                 }
@@ -412,7 +405,7 @@ mod tests {
         let mut now = SimTime::ZERO;
         while let Some(next) = dma.next_event_time(now) {
             now = next;
-            if !dma.advance(now).is_empty() {
+            if dma.advance(now, &mut Vec::new()) > 0 {
                 break;
             }
         }
@@ -426,13 +419,104 @@ mod tests {
         let mut now = SimTime::ZERO;
         while let Some(next) = dma.next_event_time(now) {
             now = next;
-            if !dma.advance(now).is_empty() {
+            if dma.advance(now, &mut Vec::new()) > 0 {
                 break;
             }
         }
         assert_eq!(dma.bytes_done(), 40_000);
         let busy_ms = dma.busy_time().as_ms_f64();
         assert!((busy_ms - 1.0).abs() < 0.05, "busy={busy_ms}ms");
+    }
+
+    /// Drives the engine the way the machine does: each submission lands
+    /// at its own instant, between engine ticks. `subs` holds (submit
+    /// instant ns, lead ns, len) in time order. Returns every completion
+    /// as (id, instant ns), then a digest of the engine's exact state
+    /// (each transfer's `remaining` as f64 bits) after every step.
+    fn run_exact(subs: &[(u64, u64, u64)]) -> (Vec<(u64, u64)>, u64) {
+        // An odd bandwidth, so per-transfer rates are inexact and any
+        // reordering of the float operations can show in the digest.
+        let mut dma = DmaEngine::new(47_123_457.0);
+        let mut h = k2_sim::digest::Fnv64::new();
+        let mut now = SimTime::ZERO;
+        let (mut out, mut done) = (Vec::new(), Vec::new());
+        let mut next = 0;
+        loop {
+            let tick = dma.next_event_time(now);
+            match subs.get(next) {
+                Some(&(at, lead, len))
+                    if tick.is_none_or(|t| SimTime::ZERO + SimDuration::from_ns(at) <= t) =>
+                {
+                    now = SimTime::ZERO + SimDuration::from_ns(at);
+                    let src = PhysAddr(next as u64 * 0x10_0000);
+                    let lead = SimDuration::from_ns(lead);
+                    dma.submit_after(now, src, src.offset(0x8_0000), len, lead);
+                    next += 1;
+                }
+                _ => {
+                    let Some(t) = tick else { break };
+                    now = t;
+                    dma.advance(now, &mut done);
+                    out.extend(done.drain(..).map(|c| (c.id.0, now.as_ns())));
+                }
+            }
+            dma.digest_into(&mut h);
+        }
+        (out, h.finish())
+    }
+
+    /// Completion instants and state digests recorded from the engine
+    /// before its scans stopped allocating: the sharing arithmetic (float
+    /// operations and their order) must reproduce them bit for bit.
+    #[test]
+    fn shared_completions_land_on_exact_instants() {
+        let two = run_exact(&[(0, 0, 100_000), (0, 0, 61_111), (250_000, 3_333, 77_777)]);
+        assert_eq!(
+            two,
+            (
+                vec![(1, 3_767_816), (2, 4_728_483), (0, 5_073_407)],
+                0x410c_af97_291d_2084
+            )
+        );
+        let three = run_exact(&[
+            (0, 0, 300_001),
+            (1_000_000, 0, 123_457),
+            (1_500_000, 37_000, 98_765),
+            (1_500_001, 0, 4_096),
+            (2_750_000, 1_234, 33_333),
+        ]);
+        assert_eq!(
+            three,
+            (
+                vec![
+                    (3, 1_839_350),
+                    (4, 5_584_653),
+                    (2, 8_610_575),
+                    (1, 9_133_879),
+                    (0, 11_880_293),
+                ],
+                0x949e_f8f1_5662_6ec7
+            )
+        );
+        // Seven staggered transfers: up to seven-way sharing.
+        let seven: Vec<(u64, u64, u64)> = (0..7u64)
+            .map(|i| (i * 97_531, (i % 3) * 1_111, 20_011 + i * 7_919))
+            .collect();
+        assert_eq!(
+            run_exact(&seven),
+            (
+                vec![
+                    (0, 1_881_695),
+                    (1, 3_481_834),
+                    (2, 4_568_679),
+                    (3, 5_367_950),
+                    (4, 5_946_075),
+                    (5, 6_321_628),
+                    (6, 6_505_561),
+                ],
+                0xb2df_feb7_c7c5_f130
+            )
+        );
     }
 
     #[test]

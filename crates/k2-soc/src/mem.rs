@@ -6,7 +6,7 @@
 //! 1 GB platform stays cheap while DMA transfers and filesystem writes
 //! remain fully verifiable byte-for-byte.
 
-use std::collections::HashMap;
+use k2_sim::hash::FastMap;
 use std::fmt;
 use std::sync::Arc;
 
@@ -89,12 +89,14 @@ impl fmt::Display for PhysAddr {
 /// assert_eq!(&buf, b"hello");
 /// ```
 /// Backing pages are `Arc`-shared: cloning the RAM (a snapshot freeze or
-/// fork) bumps refcounts instead of deep-copying pages, and a write to a
-/// shared page copies just that page first (`Arc::make_mut`).
+/// fork) bumps refcounts instead of deep-copying pages, an aligned
+/// whole-page [`SharedRam::copy`] shares the source frame the same way,
+/// and a write to a shared page copies just that page first
+/// (`Arc::make_mut`).
 #[derive(Clone)]
 pub struct SharedRam {
     size: u64,
-    pages: HashMap<u64, Arc<[u8; PAGE_SIZE]>>,
+    pages: FastMap<u64, Arc<[u8; PAGE_SIZE]>>,
 }
 
 impl SharedRam {
@@ -110,7 +112,7 @@ impl SharedRam {
         );
         SharedRam {
             size,
-            pages: HashMap::new(),
+            pages: FastMap::default(),
         }
     }
 
@@ -211,15 +213,44 @@ impl SharedRam {
     /// Copies `len` bytes from `src` to `dst` (what the DMA engine does).
     /// Handles overlapping ranges like `memmove`.
     ///
+    /// Disjoint ranges are walked in chunks that stay within one source
+    /// and one destination page. A whole page-aligned chunk shares the
+    /// source frame copy-on-write (a fresh zero frame if the source page
+    /// was never written), so the copy costs pointer work per page rather
+    /// than per byte; other chunks copy page to page through a one-page
+    /// stack buffer. Either way every destination page ends up resident,
+    /// exactly as a byte-wise write would leave it.
+    ///
     /// # Panics
     ///
     /// Panics if either range extends beyond the end of RAM.
     pub fn copy(&mut self, src: PhysAddr, dst: PhysAddr, len: usize) {
         self.check_range(src, len);
         self.check_range(dst, len);
-        let mut tmp = vec![0u8; len];
-        self.read(src, &mut tmp);
-        self.write(dst, &tmp);
+        let span = len as u64;
+        if src.0 < dst.0 + span && dst.0 < src.0 + span {
+            let mut tmp = vec![0u8; len];
+            self.read(src, &mut tmp);
+            self.write(dst, &tmp);
+            return;
+        }
+        let mut done = 0usize;
+        while done < len {
+            let (s, d) = (src.offset(done as u64), dst.offset(done as u64));
+            let n = (PAGE_SIZE - s.page_offset().max(d.page_offset())).min(len - done);
+            if n == PAGE_SIZE {
+                let frame = match self.pages.get(&s.pfn().0) {
+                    Some(p) => Arc::clone(p),
+                    None => Arc::new([0u8; PAGE_SIZE]),
+                };
+                self.pages.insert(d.pfn().0, frame);
+            } else {
+                let buf = &mut [0u8; PAGE_SIZE][..n];
+                self.read(s, buf);
+                self.write(d, buf);
+            }
+            done += n;
+        }
     }
 
     /// Number of host-resident (non-zero) backing pages; a measure of the
@@ -313,6 +344,120 @@ mod tests {
         let mut buf = [0u8; 8];
         ram.read(PhysAddr(0), &mut buf);
         assert_eq!(&buf, b"ababcdef");
+    }
+
+    /// The bounce-buffer copy [`SharedRam::copy`] replaced for disjoint
+    /// ranges: read everything, then write everything.
+    fn copy_reference(ram: &mut SharedRam, src: PhysAddr, dst: PhysAddr, len: usize) {
+        let mut tmp = vec![0u8; len];
+        ram.read(src, &mut tmp);
+        ram.write(dst, &tmp);
+    }
+
+    fn digest(ram: &SharedRam) -> u64 {
+        let mut h = k2_sim::digest::Fnv64::new();
+        ram.digest_into(&mut h);
+        h.finish()
+    }
+
+    fn assert_same(a: &SharedRam, b: &SharedRam, what: &str) {
+        let mut x = vec![0u8; a.size() as usize];
+        let mut y = vec![0u8; b.size() as usize];
+        a.read(PhysAddr(0), &mut x);
+        b.read(PhysAddr(0), &mut y);
+        assert!(x == y, "bytes differ after {what}");
+        assert_eq!(a.resident_pages(), b.resident_pages(), "{what}");
+        assert_eq!(digest(a), digest(b), "{what}");
+    }
+
+    #[test]
+    fn copy_matches_bounce_buffer_reference() {
+        const RAM: u64 = 16 * PAGE_SIZE as u64;
+        let p = PAGE_SIZE as u64;
+        let mut rng = k2_sim::rng::SimRng::seed_from_u64(0xD3A);
+        let mut fast = SharedRam::new(RAM);
+        for pfn in [1u64, 2, 3, 5, 8, 9, 13] {
+            let data: Vec<u8> = (0..PAGE_SIZE).map(|i| (i as u64 * 7 + pfn) as u8).collect();
+            fast.write(Pfn(pfn).base(), &data);
+        }
+        let mut slow = fast.clone();
+        // Named shapes first: aligned whole pages, absent source pages,
+        // unaligned starts, sub-page tails, overlap in both directions
+        // and within one page.
+        let mut cases: Vec<(u64, u64, u64)> = vec![
+            (p, 10 * p, 2 * p),
+            (6 * p, 12 * p, 2 * p),
+            (p + 100, 6 * p + 37, 3 * p),
+            (2 * p, 11 * p, p + 5),
+            (3 * p + 7, 3 * p + 2_000, 500),
+            (p, p + 1_000, 3 * p),
+            (4 * p + 1_000, 4 * p, 2 * p),
+            (2 * p, 3 * p, 2 * p),
+        ];
+        for _ in 0..1_000 {
+            let pick = |rng: &mut k2_sim::rng::SimRng, align: bool| {
+                let a = rng.gen_range(RAM);
+                if align {
+                    a & !(p - 1)
+                } else {
+                    a
+                }
+            };
+            let aligned = rng.gen_bool(0.5);
+            let (src, dst) = (pick(&mut rng, aligned), pick(&mut rng, aligned));
+            let max = RAM - src.max(dst);
+            let len = if aligned && rng.gen_bool(0.5) {
+                (1 + rng.gen_range(3)) * p
+            } else {
+                1 + rng.gen_range(3 * p)
+            };
+            cases.push((src, dst, len.min(max)));
+        }
+        for (i, &(src, dst, len)) in cases.iter().enumerate() {
+            let what = format!("case {i}: copy {src:#x} -> {dst:#x} +{len}");
+            let (src, dst, len) = (PhysAddr(src), PhysAddr(dst), len as usize);
+            fast.copy(src, dst, len);
+            copy_reference(&mut slow, src, dst, len);
+            assert_same(&fast, &slow, &what);
+            // Stir: a whole-page zero drops a frame (absent sources
+            // again) and a small write dirties a possibly shared one.
+            let pfn = Pfn(rng.gen_range(16));
+            if rng.gen_bool(0.3) {
+                fast.fill(pfn.base(), PAGE_SIZE, 0);
+                slow.fill(pfn.base(), PAGE_SIZE, 0);
+            } else {
+                let at = pfn.base().offset(rng.gen_range(p - 8));
+                let b = [i as u8; 8];
+                fast.write(at, &b);
+                slow.write(at, &b);
+            }
+            assert_same(&fast, &slow, &format!("{what}, then a stir"));
+        }
+    }
+
+    #[test]
+    fn aligned_copy_is_copy_on_write() {
+        let mut ram = SharedRam::new(1 << 20);
+        ram.fill(PhysAddr(0), PAGE_SIZE, 0x11);
+        ram.copy(PhysAddr(0), PhysAddr(0x8000), PAGE_SIZE);
+        let snap = ram.clone();
+        let byte = |r: &SharedRam, a: u64| {
+            let mut b = [0u8; 1];
+            r.read(PhysAddr(a), &mut b);
+            b[0]
+        };
+        // Writing the source leaves the copy alone...
+        ram.write(PhysAddr(10), &[0x22]);
+        assert_eq!(byte(&ram, 10), 0x22);
+        assert_eq!(byte(&ram, 0x8000 + 10), 0x11);
+        // ...writing the copy leaves the source alone...
+        ram.write(PhysAddr(0x8000 + 20), &[0x33]);
+        assert_eq!(byte(&ram, 20), 0x11);
+        assert_eq!(byte(&ram, 0x8000 + 20), 0x33);
+        // ...and neither reaches a clone taken before the writes.
+        assert_eq!(byte(&snap, 10), 0x11);
+        assert_eq!(byte(&snap, 0x8000 + 20), 0x11);
+        assert_eq!(ram.resident_pages(), 2);
     }
 
     #[test]

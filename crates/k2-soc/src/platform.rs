@@ -1865,10 +1865,14 @@ impl<W> Machine<W> {
         id
     }
 
-    /// Completions whose interrupt has fired but which no driver has
-    /// collected yet. Drivers call this from their DMA ISR.
-    pub fn dma_take_completions(&mut self) -> Vec<crate::dma::DmaCompletion> {
-        std::mem::take(&mut self.dma_pending)
+    /// Moves the completions whose interrupt has fired but which no driver
+    /// has collected yet into `buf`, replacing its contents. Drivers call
+    /// this from their DMA ISR; `buf`'s old storage becomes the machine's
+    /// next pending list, so a driver that keeps one buffer trades it back
+    /// and forth instead of allocating per completion.
+    pub fn dma_take_completions(&mut self, buf: &mut Vec<crate::dma::DmaCompletion>) {
+        buf.clear();
+        std::mem::swap(buf, &mut self.dma_pending);
     }
 
     /// The DMA engine (statistics).
@@ -2152,9 +2156,9 @@ impl<W> Machine<W> {
                 if generation != self.dma.generation() {
                     return;
                 }
-                let mut completions = self.dma.advance(self.now);
-                if !completions.is_empty() {
-                    for c in &mut completions {
+                let first = self.dma_pending.len();
+                if self.dma.advance(self.now, &mut self.dma_pending) > 0 {
+                    for c in &mut self.dma_pending[first..] {
                         if let Some((span, submitted)) = self.dma_inflight.remove(&c.id) {
                             self.spans.end(self.now, span);
                             observe_duration_hot(
@@ -2218,7 +2222,6 @@ impl<W> Machine<W> {
                             }
                         }
                     }
-                    self.dma_pending.extend(completions);
                     self.raise_irq(IrqId::DMA, w);
                 }
                 self.schedule_dma_tick();
@@ -2838,7 +2841,8 @@ mod tests {
                         Step::WaitIrq { irq: IrqId::DMA }
                     }
                     _ => {
-                        let done = m.dma_take_completions();
+                        let mut done = Vec::new();
+                        m.dma_take_completions(&mut done);
                         assert_eq!(done.len(), 1);
                         let mut buf = [0u8; 8];
                         m.ram.read(crate::mem::PhysAddr(0x8000), &mut buf);

@@ -138,6 +138,8 @@ fn base_config(mode: SystemMode, fs_on_flash: bool, a9_mhz: u64) -> SystemConfig
 pub fn run_energy_bench_config(config: SystemConfig, workload: Workload) -> EnergyRun {
     let mode = config.mode;
     let (mut m, mut sys) = K2System::boot(config);
+    // Only numbers leave this run, so keep no spans (DESIGN.md §5.11).
+    m.set_span_sink(SinkMode::Disabled);
     // Settle: all cores inactive, interrupts handed off per §7.
     m.run_until(m.now() + SETTLE, &mut sys);
     let (core, kind) = match mode {
@@ -262,6 +264,8 @@ pub fn run_shared_driver(mode: SystemMode, batch: u64, duration: SimDuration) ->
         SystemMode::LinuxBaseline => SystemConfig::linux(),
     };
     let (mut m, mut sys) = K2System::boot(config);
+    // Only numbers leave this run, so keep no spans (DESIGN.md §5.11).
+    m.set_span_sink(SinkMode::Disabled);
     let deadline = m.now() + duration;
     let start = m.now();
     // Main-kernel driver load: a normal thread.

@@ -25,6 +25,7 @@ use k2_kernel::proc::{Pid, ThreadState, Tid};
 use k2_kernel::reliable::{LinkStats, ReliableLink, RetryVerdict, SendTicket};
 use k2_kernel::service::{OpCx, ServiceId};
 use k2_sim::digest::Fnv64;
+use k2_sim::hash::FastMap;
 use k2_sim::json::{Json, JsonWriter};
 use k2_sim::metrics::{CounterId, Key, Tag};
 use k2_sim::time::SimDuration;
@@ -145,14 +146,14 @@ pub struct K2System {
     /// Cross-ISA function dispatch table.
     pub dispatch: DispatchTable,
     /// In-flight DMA transfers: engine id -> (driver channel, waiter task).
-    dma_xfers: HashMap<u64, (Channel, Option<TaskId>)>,
+    dma_xfers: FastMap<u64, (Channel, Option<TaskId>)>,
     /// Reliable mailbox links keyed by (sender domain, receiver domain,
     /// channel). One entry carries both endpoints of that directed stream:
     /// the sender's unacked messages and the receiver's dedup window.
     /// Populated only under fault injection (§6 reliable messaging).
     links: HashMap<(u8, u8, u8), ReliableLink>,
     /// Resubmission counts for DMA channels currently in recovery.
-    dma_retry: HashMap<u8, u32>,
+    dma_retry: FastMap<u8, u32>,
     /// NightWatch tasks parked by the gate, per pid.
     nw_parked: HashMap<u32, Vec<TaskId>>,
     /// Sensor-batch inbox and its waiters.
@@ -253,9 +254,9 @@ impl K2System {
             nightwatch: NightWatch::new(),
             irq_coord: IrqCoordinator::new(),
             dispatch: DispatchTable::new(),
-            dma_xfers: HashMap::new(),
+            dma_xfers: FastMap::default(),
             links: HashMap::new(),
-            dma_retry: HashMap::new(),
+            dma_retry: FastMap::default(),
             nw_parked: HashMap::new(),
             sensor_inbox: std::collections::VecDeque::new(),
             sensor_waiters: Vec::new(),
@@ -746,13 +747,14 @@ const DMA_MAX_RETRIES: u32 = 8;
 const DMA_RESUBMIT_INSTRUCTIONS: u64 = 400;
 
 fn install_dma_hook(machine: &mut K2Machine, dom: DomainId) {
+    let mut completions = Vec::new();
     machine.set_irq_hook(
         dom,
         IrqId::DMA,
         Box::new(move |w: &mut K2System, m: &mut K2Machine, cx| {
-            let completions = m.dma_take_completions();
+            m.dma_take_completions(&mut completions);
             let mut cycles = 0u64;
-            for c in completions {
+            for &c in &completions {
                 let Some((channel, waiter)) = w.dma_xfers.remove(&c.id.0) else {
                     continue;
                 };
