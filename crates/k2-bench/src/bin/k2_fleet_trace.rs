@@ -15,82 +15,38 @@
 //! Deterministic: the same flags yield byte-identical files at any
 //! `--workers` value.
 //!
-//! ```text
-//! k2-fleet-trace [--devices <n>] [--hubs <n>] [--sink <mode>]
-//!                [--seed <n>] [--epochs <n>] [--workers <n>]
-//!                [--out <prefix>]
-//! ```
-//!
-//! Defaults: 16 devices, 2 hubs, `full` sink, seed 2014, 80 epochs,
-//! prefix `fleet`. Sink modes: `disabled`, `ring`, `ring:<cap>`, `full`.
+//! Usage: [`k2_bench::tools::FLEET_TRACE`]. Defaults: 16 devices, 2
+//! hubs, `full` sink, seed 2014, 80 epochs, prefix `fleet`.
 
-use k2_check::fleet::{run_fleet_traced, warmed_snapshot, FleetSpec};
+use k2_bench::cli::write_or_exit;
+use k2_bench::tools::FLEET_TRACE;
+use k2_check::fleet::{run_fleet_traced, warmed_snapshot};
 use k2_sim::sink::SinkMode;
-use k2_sim::time::SimDuration;
-
-fn usage() -> ! {
-    eprintln!(
-        "usage: k2-fleet-trace [--devices <n>] [--hubs <n>] [--sink <mode>] \
-         [--seed <n>] [--epochs <n>] [--workers <n>] [--out <prefix>]"
-    );
-    eprintln!("sink modes: disabled | ring | ring:<cap> | full");
-    std::process::exit(2);
-}
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut devices = 16u32;
-    let mut hubs = 2u32;
-    let mut sink = SinkMode::Full;
-    let mut seed = 2_014u64;
-    let mut epochs = 80u32;
-    let mut workers = 0usize;
-    let mut prefix = "fleet".to_string();
-    let mut i = 0;
-    while i < args.len() {
-        let value = || args.get(i + 1).unwrap_or_else(|| usage()).clone();
-        match args[i].as_str() {
-            "--devices" => devices = value().parse().unwrap_or_else(|_| usage()),
-            "--hubs" => hubs = value().parse().unwrap_or_else(|_| usage()),
-            "--sink" => sink = SinkMode::parse(&value()).unwrap_or_else(|| usage()),
-            "--seed" => seed = value().parse().unwrap_or_else(|_| usage()),
-            "--epochs" => epochs = value().parse().unwrap_or_else(|_| usage()),
-            "--workers" => workers = value().parse().unwrap_or_else(|_| usage()),
-            "--out" => prefix = value(),
-            _ => usage(),
-        }
-        i += 2;
-    }
-
-    let mut spec = FleetSpec::sync_storm(devices, hubs);
-    spec.seed = seed;
-    spec.epochs = epochs;
-    spec.period = SimDuration::from_ms(4);
-    spec.sink = sink;
-    if workers > 0 {
-        spec.workers = workers;
-    }
+    let (spec, prefix) = FLEET_TRACE.parse_env();
     eprintln!(
-        "running sync storm: {} machines, {epochs} epochs, sink {} (seed {seed})...",
+        "running sync storm: {} machines, {} epochs, sink {} (seed {})...",
         spec.machines(),
-        sink.label()
+        spec.epochs,
+        spec.sink.label(),
+        spec.seed
     );
-    let snap = warmed_snapshot();
-    let (report, trace) = run_fleet_traced(&spec, &snap);
+    let (report, trace) = run_fleet_traced(&spec, &warmed_snapshot());
 
     let trace_path = format!("{prefix}.trace.json");
     let timeline_path = format!("{prefix}.timeline.json");
     let report_path = format!("{prefix}.report.txt");
-    std::fs::write(&trace_path, &trace).expect("write trace");
-    std::fs::write(&timeline_path, report.timeline.render_json()).expect("write timeline");
-    std::fs::write(&report_path, report.render()).expect("write report");
+    write_or_exit(&trace_path, &trace);
+    write_or_exit(&timeline_path, report.timeline.render_json());
+    write_or_exit(&report_path, report.render());
 
     eprint!("{}", report.render());
     eprintln!(
         "wrote {trace_path} ({} bytes), {timeline_path}, {report_path}",
         trace.len()
     );
-    if sink == SinkMode::Disabled {
+    if spec.sink == SinkMode::Disabled {
         eprintln!("note: sink disabled — the trace document carries no events");
     }
 }

@@ -1,11 +1,7 @@
 //! `k2-perf`: the K2 performance harness. Each run executes one
 //! section, writes its output file into the current directory and, with
 //! `--check`, fails when the section's gate metric regressed against a
-//! baseline.
-//!
-//! ```text
-//! k2-perf <section> [--check]
-//! ```
+//! baseline. Usage: [`k2_bench::tools::PERF`].
 //!
 //! | section   | writes            | gate key                                | budget |
 //! |-----------|-------------------|-----------------------------------------|--------|
@@ -19,9 +15,9 @@
 //! `--check` reads the section's own output file in the current
 //! directory (the committed baseline) before the run overwrites it.
 //! Exit status: 0 when the run (and gate) passed, 1 when the gate
-//! failed, 2 on a usage error (an unknown section or flag, an unreadable
-//! or unparsable baseline, or a baseline without its gate key). A failed
-//! in-run assertion panics.
+//! failed or the output file cannot be written, 2 on a usage error (an
+//! unknown section or flag, an unreadable or unparsable baseline, or a
+//! baseline without its gate key). A failed in-run assertion panics.
 
 mod common;
 mod fleet;
@@ -32,111 +28,36 @@ mod smoke;
 mod spans;
 
 use common::{read_baseline, read_gate};
+use k2_bench::cli::write_or_exit;
+use k2_bench::tools::{Section, PERF};
 
-const USAGE: &str = "usage: k2-perf <queue|spans|fork|fleet|observe|smoke> [--check]";
-
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Section {
-    Queue,
-    Spans,
-    Fork,
-    Fleet,
-    Observe,
-    Smoke,
-}
-
-/// A section's regression gate: the dotted path of the number it gates
-/// on and the largest tolerated drop, as a fraction of the baseline.
-struct Gate {
-    key: &'static str,
-    tolerance: f64,
-}
-
-impl Section {
-    fn parse(name: &str) -> Option<Section> {
-        Some(match name {
-            "queue" => Section::Queue,
-            "spans" => Section::Spans,
-            "fork" => Section::Fork,
-            "fleet" => Section::Fleet,
-            "observe" => Section::Observe,
-            "smoke" => Section::Smoke,
-            _ => return None,
-        })
+fn run(section: Section) -> String {
+    match section {
+        Section::Queue => queue::run(),
+        Section::Spans => spans::run(),
+        Section::Fork => fork::run(),
+        Section::Fleet => fleet::run(),
+        Section::Observe => observe::run(),
+        Section::Smoke => smoke::run(),
     }
-
-    /// The file the section writes.
-    fn output(self) -> &'static str {
-        match self {
-            Section::Queue => "BENCH_pr4.json",
-            Section::Spans => "BENCH_pr5.json",
-            Section::Fork => "BENCH_pr7.json",
-            Section::Fleet => "BENCH_pr9.json",
-            Section::Observe => "BENCH_pr10.json",
-            Section::Smoke => "FLEET_smoke.txt",
-        }
-    }
-
-    fn gate(self) -> Option<Gate> {
-        let (key, tolerance) = match self {
-            Section::Queue => ("queue_microbench.slab_events_per_sec", 0.15),
-            Section::Spans => ("span_microbench.disabled_ops_per_sec", 0.25),
-            Section::Fork => ("fork_speedup_serial", 0.15),
-            Section::Fleet => ("serial_fleet_events_per_sec", 0.15),
-            Section::Observe => ("disabled_fleet_events_per_sec", 0.15),
-            Section::Smoke => return None,
-        };
-        Some(Gate { key, tolerance })
-    }
-
-    fn run(self) -> String {
-        match self {
-            Section::Queue => queue::run(),
-            Section::Spans => spans::run(),
-            Section::Fork => fork::run(),
-            Section::Fleet => fleet::run(),
-            Section::Observe => observe::run(),
-            Section::Smoke => smoke::run(),
-        }
-    }
-}
-
-/// Parses `<section> [--check]` into the section and whether to gate.
-fn parse_args(args: &[String]) -> Result<(Section, bool), String> {
-    let (name, rest) = args.split_first().ok_or("missing section")?;
-    let section = Section::parse(name).ok_or_else(|| format!("unknown section `{name}`"))?;
-    match rest {
-        [] => Ok((section, false)),
-        [flag] if flag == "--check" && section.gate().is_none() => {
-            Err(format!("section `{name}` has no gate to --check"))
-        }
-        [flag] if flag == "--check" => Ok((section, true)),
-        _ => Err(format!("unknown arguments `{}`", rest.join(" "))),
-    }
-}
-
-fn usage(msg: &str) -> ! {
-    eprintln!("k2-perf: {msg}\n{USAGE}");
-    std::process::exit(2);
 }
 
 fn main() {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let (section, check) = parse_args(&argv).unwrap_or_else(|e| usage(&e));
+    let (section, check) = PERF.parse_env();
     let file = section.output();
     // Read the baseline before the run overwrites it.
-    let gate = section.gate().filter(|_| check).map(|g| {
-        let base = read_baseline(file, g.key).unwrap_or_else(|e| usage(&e));
-        (g, base)
+    let gate = section.gate().filter(|_| check).map(|(key, tolerance)| {
+        let base = read_baseline(file, key).unwrap_or_else(|e| PERF.usage_error(&e));
+        (key, tolerance, base)
     });
 
-    let out = section.run();
-    std::fs::write(file, &out).unwrap_or_else(|e| panic!("write {file}: {e}"));
+    let out = run(section);
+    write_or_exit(file, &out);
     eprintln!("wrote {file}");
 
-    if let Some((gate, base)) = gate {
-        let now = read_gate(&out, gate.key).expect("the section writes its gate key");
-        if !common::gate(gate.key, base, now, gate.tolerance) {
+    if let Some((key, tolerance, base)) = gate {
+        let now = read_gate(&out, key).expect("the section writes its gate key");
+        if !common::gate(key, base, now, tolerance) {
             std::process::exit(1);
         }
     }
@@ -156,7 +77,7 @@ mod tests {
     ];
 
     fn parse(args: &[&str]) -> Result<(Section, bool), String> {
-        parse_args(&args.iter().map(|a| a.to_string()).collect::<Vec<_>>())
+        PERF.parse(&args.iter().map(|a| a.to_string()).collect::<Vec<_>>())
     }
 
     fn scratch_file(name: &str, contents: &str) -> String {
@@ -213,9 +134,9 @@ mod tests {
     fn committed_baselines_carry_their_gate_keys() {
         for section in GATED {
             let path = format!("{}/../../{}", env!("CARGO_MANIFEST_DIR"), section.output());
-            let gate = section.gate().expect("gated section");
-            let base = read_baseline(&path, gate.key).unwrap_or_else(|e| panic!("{e}"));
-            assert!(base > 0.0, "{path}: {} = {base}", gate.key);
+            let (key, _) = section.gate().expect("gated section");
+            let base = read_baseline(&path, key).unwrap_or_else(|e| panic!("{e}"));
+            assert!(base > 0.0, "{path}: {key} = {base}");
         }
     }
 

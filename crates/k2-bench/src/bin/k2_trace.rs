@@ -7,57 +7,16 @@
 //! and per-domain energy. Deterministic — the same `(scenario, seed)`
 //! yields byte-identical trace files.
 //!
-//! ```text
-//! k2-trace [--scenario <name>] [--seed <n>] [--out <path>]
-//! ```
-//!
-//! Defaults: `udp-cross-traffic`, seed 0, `<scenario>.trace.json`.
-//! Fleet traces come from `k2-fleet-trace`.
+//! Usage: [`k2_bench::tools::TRACE`]. Defaults: `udp-cross-traffic`,
+//! seed 0, `<scenario>.trace.json`. Fleet traces come from
+//! `k2-fleet-trace`.
 
-use k2_check::{FaultSpec, RunOptions, Scenario};
-
-fn usage() -> ! {
-    eprintln!("usage: k2-trace [--scenario <name>] [--seed <n>] [--out <path>]");
-    eprintln!("scenarios:");
-    for s in Scenario::ALL {
-        eprintln!("  {}", s.name());
-    }
-    std::process::exit(2);
-}
+use k2_bench::cli::write_or_exit;
+use k2_bench::tools::TRACE;
+use k2_check::{FaultSpec, RunOptions};
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut scenario = Scenario::UdpCrossTraffic;
-    let mut seed = 0u64;
-    let mut out: Option<String> = None;
-    let mut i = 0;
-    while i < args.len() {
-        let value = || args.get(i + 1).unwrap_or_else(|| usage()).clone();
-        match args[i].as_str() {
-            "--scenario" => {
-                let name = value();
-                scenario = Scenario::ALL
-                    .into_iter()
-                    .find(|s| s.name() == name)
-                    .unwrap_or_else(|| {
-                        eprintln!("unknown scenario {name}");
-                        usage()
-                    });
-                i += 2;
-            }
-            "--seed" => {
-                seed = value().parse().unwrap_or_else(|_| usage());
-                i += 2;
-            }
-            "--out" => {
-                out = Some(value());
-                i += 2;
-            }
-            _ => usage(),
-        }
-    }
-    let path = out.unwrap_or_else(|| format!("{}.trace.json", scenario.name()));
-
+    let (scenario, seed, path) = TRACE.parse_env();
     let spec = FaultSpec {
         seed,
         ..FaultSpec::none()
@@ -67,7 +26,7 @@ fn main() {
         .compiled()
         .run(None, &spec, None, RunOptions::traced());
     let trace = outcome.chrome_trace.expect("traced run exports a trace");
-    std::fs::write(&path, &trace).expect("write trace file");
+    write_or_exit(&path, &trace);
     eprintln!(
         "wrote {path} ({} bytes, {} machine events) — load it in ui.perfetto.dev",
         trace.len(),

@@ -85,29 +85,21 @@ pub fn run_eval(def: &ScenarioDef) -> Result<EvalOutcome, String> {
     }
 }
 
-/// Bin entry point shared by the table/figure binaries: runs the named
-/// builtin, prints the table and a conformance footer, and returns the
-/// process exit code (nonzero when a declared expectation fails).
+/// `k2-eval`'s entry point for eval files: runs the named builtin,
+/// prints the table and a conformance footer, and returns the process
+/// exit code (nonzero when a declared expectation fails).
 pub fn run_and_check(name: &str) -> i32 {
     let def = builtin::load(name);
     let out = eval_builtin(name);
     print!("{}", out.text);
     let declared = def.expectations("none", 0).len();
     let failures = out.failures(&def);
-    if failures.is_empty() {
-        println!("conformance: {declared}/{declared} expectations hold (scenarios/{name}.k2.md)");
-        0
-    } else {
-        println!(
-            "conformance: {}/{} expectations hold (scenarios/{name}.k2.md)",
-            declared - failures.len(),
-            declared
-        );
-        for (metric, expected, actual) in failures {
-            println!("  FAIL {metric}: expected `{expected}`, got `{actual}`");
-        }
-        1
+    let held = declared - failures.len();
+    println!("conformance: {held}/{declared} expectations hold (scenarios/{name}.k2.md)");
+    for (metric, expected, actual) in &failures {
+        println!("  FAIL {metric}: expected `{expected}`, got `{actual}`");
     }
+    i32::from(!failures.is_empty())
 }
 
 // -------------------------------------------------------------------------

@@ -4,17 +4,56 @@
 //! `tables` bench target. Each function regenerates one table or figure of
 //! the paper's evaluation and returns it as printable text; the tables
 //! parameterized by a `scenarios/*.k2.md` file render through
-//! [`conformance::eval_builtin`] instead. `EXPERIMENTS.md` records
-//! paper-vs-measured for each.
+//! [`conformance::eval_builtin`] instead. `k2-eval <experiment>` runs
+//! either kind by name ([`experiments`]), and [`tools`] holds every
+//! binary's command line. `EXPERIMENTS.md` records paper-vs-measured for
+//! each.
 
 #![warn(missing_docs)]
 
+pub mod cli;
 pub mod conformance;
+pub mod tools;
 
 use k2::ablation;
 use k2::system::SystemMode;
+use k2_check::dsl::builtin;
 use k2_workloads::harness::{self, compare_energy, Workload};
 use std::fmt::Write as _;
+
+/// The experiments `k2-eval` renders by hand; the others are the
+/// `k2 eval` scenario files, run by [`conformance::run_and_check`].
+pub const RENDERED: [(&str, Render); 6] = [
+    ("table3-power", table3_power),
+    ("fig6-energy", fig6_all),
+    ("fig6-flash", fig6_flash),
+    ("ablation-shadowed-alloc", ablation_shadowed_alloc),
+    ("ablation-three-state", ablation_three_state),
+    ("ablation-pin-weak", ablation_pin_weak),
+];
+
+/// Renders one experiment as printable text.
+type Render = fn() -> String;
+
+/// Every experiment `k2-eval` runs: the eval scenario files in registry
+/// order, then [`RENDERED`].
+pub fn experiments() -> Vec<&'static str> {
+    let evals = builtin::SOURCES.iter().map(|&(name, _)| name);
+    let evals = evals.filter(|name| builtin::load(name).is_eval());
+    evals.chain(RENDERED.map(|(name, _)| name)).collect()
+}
+
+/// Runs and prints the named experiment; returns the process exit code,
+/// nonzero when an eval file's declared expectation fails.
+pub fn run_experiment(name: &str) -> i32 {
+    match RENDERED.iter().find(|(n, _)| *n == name) {
+        Some((_, render)) => {
+            print!("{}", render());
+            0
+        }
+        None => conformance::run_and_check(name),
+    }
+}
 
 /// Table 1: core specifications of the platform.
 pub fn table1_cores() -> String {
@@ -81,23 +120,14 @@ pub fn fig6_energy(name: &str, params: Vec<Workload>) -> String {
     s
 }
 
-/// All three Figure 6 families.
+/// All three Figure 6 families, as `k2-eval fig6-energy` prints them.
 pub fn fig6_all() -> String {
-    let mut s = fig6_energy(
-        "(a): DMA driver, (BatchSize, TotalSize)",
-        harness::figure6_dma_params(),
-    );
-    s.push('\n');
-    s.push_str(&fig6_energy(
-        "(b): ext2, single file size (8 files)",
-        harness::figure6_ext2_params(),
-    ));
-    s.push('\n');
-    s.push_str(&fig6_energy(
-        "(c): UDP loopback, (BatchSize, TotalSize)",
-        harness::figure6_udp_params(),
-    ));
-    s
+    let dma = "(a): DMA driver, (BatchSize, TotalSize)";
+    let ext2 = "(b): ext2, single file size (8 files)";
+    let udp = "(c): UDP loopback, (BatchSize, TotalSize)";
+    fig6_energy(dma, harness::figure6_dma_params())
+        + &fig6_energy(ext2, harness::figure6_ext2_params())
+        + &fig6_energy(udp, harness::figure6_udp_params())
 }
 
 /// §9.3 ablation: the shadowed page allocator.

@@ -1,7 +1,7 @@
-//! The seven table/figure bins are wrappers over checked-in `.k2.md`
-//! files; this suite proves each eval runs from its file and that the
-//! in-file expected-results table holds — the same check the bins and
-//! the CI matrix job perform, pinned as a cargo test.
+//! Seven of `k2-eval`'s experiments run from checked-in `.k2.md` files;
+//! this suite proves each eval runs from its file and that the in-file
+//! expected-results table holds — the same check `k2-eval` and the CI
+//! matrix job perform, pinned as a cargo test.
 
 use k2_bench::conformance;
 use k2_check::dsl::builtin;

@@ -237,18 +237,19 @@ impl FleetDef {
     }
 
     /// Converts to a runnable [`FleetSpec`](crate::fleet::FleetSpec)
-    /// under `seed` (workers resolved from `K2CHECK_THREADS`).
+    /// under `seed` (workers resolved from `K2CHECK_THREADS`). Durations
+    /// too long for nanoseconds saturate.
     pub fn spec(&self, seed: u64) -> crate::fleet::FleetSpec {
-        use k2_sim::time::SimDuration;
+        let us = |n: u64| k2_sim::time::SimDuration::from_ns(n.saturating_mul(1_000));
         let mut s = crate::fleet::FleetSpec::sync_storm(self.devices, self.hubs);
         s.seed = seed;
         s.burst = self.burst;
         s.bursts = self.bursts;
-        s.period = SimDuration::from_us(self.period_us);
-        s.epoch = SimDuration::from_us(self.epoch_us);
+        s.period = us(self.period_us);
+        s.epoch = us(self.epoch_us);
         s.epochs = self.epochs;
-        s.latency_min = SimDuration::from_us(self.latency_min_us);
-        s.latency_max = SimDuration::from_us(self.latency_max_us);
+        s.latency_min = us(self.latency_min_us);
+        s.latency_max = us(self.latency_max_us);
         s.loss = self.loss;
         s.reorder = self.reorder;
         s.sink = self.trace;
@@ -305,6 +306,17 @@ impl ScenarioDef {
             });
         }
         self.presets.iter().find(|p| p.name == name).cloned()
+    }
+
+    /// The end-state metric keys the workload reports: grid rows, then
+    /// last-wins hooks, in file order.
+    pub fn metric_names(&self) -> Vec<&str> {
+        let hooks = self.steps.iter().filter_map(|s| match s {
+            StepDef::HookLastWins { metric, .. } => Some(metric.as_str()),
+            StepDef::SendMail { .. } => None,
+        });
+        let grid = self.grid.iter().map(|r| r.metric.as_str());
+        grid.chain(hooks).collect()
     }
 
     /// Every preset name the file's matrix axis expands over: `none`
@@ -837,11 +849,7 @@ pub fn parse(src: &str) -> Result<ScenarioDef, DslError> {
     }
     // Metric keys must be unique across grid and steps, or expectation
     // rows would be ambiguous.
-    let mut metrics: Vec<&str> = def.grid.iter().map(|r| r.metric.as_str()).collect();
-    metrics.extend(def.steps.iter().filter_map(|s| match s {
-        StepDef::HookLastWins { metric, .. } => Some(metric.as_str()),
-        StepDef::SendMail { .. } => None,
-    }));
+    let metrics = def.metric_names();
     for (i, m) in metrics.iter().enumerate() {
         if metrics[..i].contains(m) {
             return Err(DslError::new(last, format!("duplicate metric key `{m}`")));
@@ -1120,17 +1128,10 @@ fn finish_block(
                 return Err(DslError::new(header_ln, "duplicate `k2 fleet` block"));
             }
             let mut f = FleetDef::defaults();
-            let (mut saw_devices, mut saw_hubs) = (false, false);
             for (ln, key, value) in kv_lines(body)? {
                 match key.as_str() {
-                    "devices" => {
-                        f.devices = parse_u32(&value, ln)?;
-                        saw_devices = true;
-                    }
-                    "hubs" => {
-                        f.hubs = parse_u32(&value, ln)?;
-                        saw_hubs = true;
-                    }
+                    "devices" => f.devices = parse_u32(&value, ln)?,
+                    "hubs" => f.hubs = parse_u32(&value, ln)?,
                     "burst" => f.burst = parse_u32(&value, ln)?,
                     "bursts" => f.bursts = parse_u32(&value, ln)?,
                     "period_us" => f.period_us = parse_u64(&value, ln)?,
@@ -1159,30 +1160,11 @@ fn finish_block(
                     }
                 }
             }
-            if !saw_devices || !saw_hubs || f.devices == 0 || f.hubs == 0 {
-                return Err(DslError::new(
-                    header_ln,
-                    "`k2 fleet` needs `devices` and `hubs`, both at least 1",
-                ));
-            }
-            if f.devices.saturating_add(f.hubs) > u16::MAX as u32 {
-                return Err(DslError::new(
-                    header_ln,
-                    "fleet too large: machine addresses are u16",
-                ));
-            }
-            if f.epoch_us == 0 || f.epochs == 0 || f.burst == 0 || f.bursts == 0 {
-                return Err(DslError::new(
-                    header_ln,
-                    "`k2 fleet` epoch_us, epochs, burst, and bursts must be positive",
-                ));
-            }
-            if f.latency_min_us == 0 || f.latency_min_us > f.latency_max_us {
-                return Err(DslError::new(
-                    header_ln,
-                    "`k2 fleet` latency band needs 0 < latency_min_us <= latency_max_us",
-                ));
-            }
+            // `devices` and `hubs` default to 0, so leaving either out
+            // fails here too.
+            f.spec(0)
+                .validate()
+                .map_err(|e| DslError::new(header_ln, format!("`k2 fleet`: {e}")))?;
             def.fleet = Some(f);
             Ok(())
         }

@@ -212,6 +212,11 @@ impl Strategy {
             Strategy::CoverageGuided => "coverage-guided",
         }
     }
+
+    /// The strategy whose [`Strategy::name`] is `name`, if any.
+    pub fn from_name(name: &str) -> Option<Strategy> {
+        Strategy::ALL.into_iter().find(|s| s.name() == name)
+    }
 }
 
 impl fmt::Display for Strategy {

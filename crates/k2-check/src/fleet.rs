@@ -136,29 +136,30 @@ impl FleetSpec {
         }
     }
 
-    /// Total machine count (hubs + devices).
+    /// Total machine count (hubs + devices), saturating at `u32::MAX` so
+    /// an oversized spec still fails [`FleetSpec::validate`].
     pub fn machines(&self) -> u32 {
-        self.hubs + self.devices
+        self.hubs.saturating_add(self.devices)
     }
 
-    /// Panics unless the spec is well-formed (mirrors the DSL checks).
-    pub fn validate(&self) {
-        assert!(self.devices >= 1, "fleet needs at least one device");
-        assert!(self.hubs >= 1, "fleet needs at least one hub");
-        assert!(
-            self.machines() <= u16::MAX as u32,
-            "machine addresses are u16"
-        );
-        assert!(self.epochs >= 1 && !self.epoch.is_zero(), "empty schedule");
-        assert!(self.burst >= 1 && self.bursts >= 1, "empty workload");
-        assert!(
-            !self.latency_min.is_zero() && self.latency_min <= self.latency_max,
-            "bad latency band"
-        );
-        assert!(
-            (0.0..=1.0).contains(&self.loss) && (0.0..=1.0).contains(&self.reorder),
-            "probabilities out of range"
-        );
+    /// Checks that the spec is well-formed; the error names what is not.
+    /// The DSL's `k2 fleet` block reports these errors at its header.
+    pub fn validate(&self) -> Result<(), String> {
+        let rate = 0.0..=1.0;
+        let err = if self.devices == 0 || self.hubs == 0 {
+            "`devices` and `hubs` must both be at least 1"
+        } else if self.machines() > u32::from(u16::MAX) {
+            "fleet too large: machine addresses are u16"
+        } else if self.epoch.is_zero() || self.epochs == 0 || self.burst == 0 || self.bursts == 0 {
+            "epoch length, epochs, burst and bursts must be positive"
+        } else if self.latency_min.is_zero() || self.latency_min > self.latency_max {
+            "latency band needs 0 < latency_min <= latency_max"
+        } else if !rate.contains(&self.loss) || !rate.contains(&self.reorder) {
+            "loss and reorder probabilities out of range"
+        } else {
+            return Ok(());
+        };
+        Err(err.to_string())
     }
 }
 
@@ -1077,7 +1078,8 @@ fn run_fleet_inner(
     snap: &SystemSnapshot,
     collect_trace: bool,
 ) -> (FleetReport, Option<String>) {
-    spec.validate();
+    spec.validate()
+        .unwrap_or_else(|e| panic!("invalid fleet spec: {e}"));
     let total = spec.machines();
     let workers = resolve_workers(spec.workers, total);
     let chunk = total.div_ceil(workers.min(total as usize) as u32);

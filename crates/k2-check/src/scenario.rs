@@ -232,6 +232,11 @@ impl Scenario {
         }
     }
 
+    /// The scenario whose [`Scenario::name`] is `name`, if any.
+    pub fn from_name(name: &str) -> Option<Scenario> {
+        Scenario::ALL.into_iter().find(|s| s.name() == name)
+    }
+
     /// The `Scenario::` variant ident, for generated repro sources.
     pub fn variant(self) -> &'static str {
         match self {

@@ -115,3 +115,26 @@ fn in_flight_datagrams_cross_epoch_boundaries_deterministically() {
     assert_eq!(a.delivered, b.delivered);
     assert_eq!(a.reordered, b.reordered);
 }
+
+/// Checked with `validate()` only: none of these fleets is ever run.
+#[test]
+fn validate_rejects_oversized_and_empty_fleets() {
+    use fleet::FleetSpec;
+    assert_eq!(FleetSpec::sync_storm(10, 2).validate(), Ok(()));
+    // `hubs + devices` saturates instead of wrapping past the u16 check.
+    let too_large = FleetSpec::sync_storm(u32::MAX, 1);
+    assert_eq!(too_large.machines(), u32::MAX);
+    assert!(too_large.validate().unwrap_err().contains("u16"));
+    assert!(FleetSpec::sync_storm(u16::MAX as u32, 1)
+        .validate()
+        .is_err());
+    assert_eq!(
+        FleetSpec::sync_storm(u16::MAX as u32 - 1, 1).validate(),
+        Ok(())
+    );
+    assert!(FleetSpec::sync_storm(0, 1).validate().is_err());
+    assert!(FleetSpec::sync_storm(1, 0).validate().is_err());
+    let mut no_epochs = FleetSpec::sync_storm(10, 2);
+    no_epochs.epochs = 0;
+    assert!(no_epochs.validate().unwrap_err().contains("positive"));
+}

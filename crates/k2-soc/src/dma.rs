@@ -428,15 +428,17 @@ mod tests {
         assert!((busy_ms - 1.0).abs() < 0.05, "busy={busy_ms}ms");
     }
 
+    /// An odd bandwidth, so per-transfer rates are inexact and any
+    /// reordering of the float operations can show in the digest.
+    const ODD_BPS: f64 = 47_123_457.0;
+
     /// Drives the engine the way the machine does: each submission lands
     /// at its own instant, between engine ticks. `subs` holds (submit
     /// instant ns, lead ns, len) in time order. Returns every completion
     /// as (id, instant ns), then a digest of the engine's exact state
     /// (each transfer's `remaining` as f64 bits) after every step.
-    fn run_exact(subs: &[(u64, u64, u64)]) -> (Vec<(u64, u64)>, u64) {
-        // An odd bandwidth, so per-transfer rates are inexact and any
-        // reordering of the float operations can show in the digest.
-        let mut dma = DmaEngine::new(47_123_457.0);
+    fn run_exact(bandwidth_bps: f64, subs: &[(u64, u64, u64)]) -> (Vec<(u64, u64)>, u64) {
+        let mut dma = DmaEngine::new(bandwidth_bps);
         let mut h = k2_sim::digest::Fnv64::new();
         let mut now = SimTime::ZERO;
         let (mut out, mut done) = (Vec::new(), Vec::new());
@@ -466,11 +468,15 @@ mod tests {
     }
 
     /// Completion instants and state digests recorded from the engine
-    /// before its scans stopped allocating: the sharing arithmetic (float
-    /// operations and their order) must reproduce them bit for bit.
+    /// before its scans stopped allocating (the last case from the
+    /// current engine): the sharing arithmetic (float operations and
+    /// their order) must reproduce them bit for bit.
     #[test]
     fn shared_completions_land_on_exact_instants() {
-        let two = run_exact(&[(0, 0, 100_000), (0, 0, 61_111), (250_000, 3_333, 77_777)]);
+        let two = run_exact(
+            ODD_BPS,
+            &[(0, 0, 100_000), (0, 0, 61_111), (250_000, 3_333, 77_777)],
+        );
         assert_eq!(
             two,
             (
@@ -478,13 +484,16 @@ mod tests {
                 0x410c_af97_291d_2084
             )
         );
-        let three = run_exact(&[
-            (0, 0, 300_001),
-            (1_000_000, 0, 123_457),
-            (1_500_000, 37_000, 98_765),
-            (1_500_001, 0, 4_096),
-            (2_750_000, 1_234, 33_333),
-        ]);
+        let three = run_exact(
+            ODD_BPS,
+            &[
+                (0, 0, 300_001),
+                (1_000_000, 0, 123_457),
+                (1_500_000, 37_000, 98_765),
+                (1_500_001, 0, 4_096),
+                (2_750_000, 1_234, 33_333),
+            ],
+        );
         assert_eq!(
             three,
             (
@@ -503,7 +512,7 @@ mod tests {
             .map(|i| (i * 97_531, (i % 3) * 1_111, 20_011 + i * 7_919))
             .collect();
         assert_eq!(
-            run_exact(&seven),
+            run_exact(ODD_BPS, &seven),
             (
                 vec![
                     (0, 1_881_695),
@@ -515,6 +524,20 @@ mod tests {
                     (6, 6_505_561),
                 ],
                 0xb2df_feb7_c7c5_f130
+            )
+        );
+        // Three-way sharing at a bandwidth where `bandwidth / 3` and
+        // `1 / (3 / bandwidth)` differ in the last bit, and where the
+        // first finish lands exactly on a half nanosecond (117,186 B at a
+        // third of 199,997,440 B/s is 1,757,812.5 ns), so computing it as
+        // `remaining * 3 / bandwidth` rounds to the other side. Found by a
+        // search over bandwidths and lengths for both properties.
+        let boundary = [(0, 0, 117_186), (0, 0, 150_001), (0, 0, 200_003)];
+        assert_eq!(
+            run_exact(199_997_440.0, &boundary),
+            (
+                vec![(0, 1_761_812), (1, 2_089_967), (2, 2_339_980)],
+                0xb864_58da_8127_9d23
             )
         );
     }

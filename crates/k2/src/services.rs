@@ -125,7 +125,7 @@ pub struct InventoryRow {
     pub kind: &'static str,
 }
 
-/// The components Table 2 reports, for the `table2_refactoring` binary to
+/// The components Table 2 reports, for `k2-eval table2-refactoring` to
 /// pair with live line counts of this repository.
 pub fn table2_components() -> Vec<InventoryRow> {
     vec![
